@@ -1,0 +1,9 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH))
+
+from lqbench.env import bootstrap  # noqa: E402
+
+bootstrap()

@@ -23,12 +23,13 @@ from .scenario import load_scenario
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="reserved; runs are deterministic and single-process")
     common.add_argument("--out", default=None,
                         help="output directory (default: scenario output.dir "
                              "or ./liouq_out)")
+
+    # only the randomized studies take a seed
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="override scenario seed")
 
     parser = argparse.ArgumentParser(
         prog="liouq",
@@ -46,13 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="equivalence study across engines")
     compare.add_argument("--scenario", required=True)
 
-    decohere = sub.add_parser("decohere", parents=[common],
+    decohere = sub.add_parser("decohere", parents=[common, seeded],
                               help="noisy ensemble vs dissipative stepper")
     decohere.add_argument("--scenario", required=True)
     decohere.add_argument("--realizations", type=int)
     decohere.add_argument("--mode", choices=("quenched", "resampled"))
 
-    void = sub.add_parser("void", parents=[common],
+    void = sub.add_parser("void", parents=[common, seeded],
                           help="sprinkled-void emptiness statistics")
     void.add_argument("--dr", type=float, required=True)
     void.add_argument("--rho", type=float, default=1.0)
@@ -61,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       default="ball_times_interval")
     void.add_argument("--trials", type=int, default=100_000)
 
-    segcheck = sub.add_parser("segcheck", parents=[common],
+    segcheck = sub.add_parser("segcheck", parents=[common, seeded],
                               help="piecewise-linear identity checks")
     segcheck.add_argument("--scenario", required=True)
     segcheck.add_argument("--pairs", type=int, default=1000)

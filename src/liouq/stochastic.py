@@ -24,13 +24,26 @@ from typing import List
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, RealizationError
-from .evolvers import EvolverConfig, Trajectory, _evolve_density, _record_steps
+from .errors import (
+    BoundaryContaminationError,
+    ConfigError,
+    DomainError,
+    RealizationError,
+)
+from .evolvers import (
+    EvolverConfig,
+    Trajectory,
+    _check_dt_guard,
+    _check_tail,
+    _evolve_density,
+    _record_steps,
+)
 from .grids import DensityGrid, GridSpec, boundary_fraction
 from .potentials import Potential
 
 _DISTRIBUTIONS = ("gaussian",)
 _MODES = ("quenched", "resampled")
+_BLOCK = 128  # realizations per accumulation block of the closed form
 
 
 @dataclass(frozen=True)
@@ -143,6 +156,7 @@ def _resampled_evolve(
     # Exploratory mode: a fresh field each step instead of one static
     # draw per realization.  The decay it produces depends on dt.
     grid = f0.grid
+    _check_dt_guard(cfg, grid)
     n = grid.n_points
     profile = spec.nu_on_grid(grid)
     rng = _stream(spec.seed, k)
@@ -166,12 +180,99 @@ def _resampled_evolve(
         work *= phase
         if kin_half is not None:
             work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
+        tail = _check_tail(work, cfg, step)
         if step in record_at:
             t = f0.time + step * cfg.dt
             times.append(t)
             states.append(DensityGrid(grid, work.copy(), t))
-            diags.append({"boundary_fraction": boundary_fraction(work)})
+            diags.append({"boundary_fraction": tail})
     return Trajectory(times, states, diags)
+
+
+def _stepped_moments(f0, V, spec, M, cfg, mode):
+    """Step every realization; running mean and M2 per recorded time.
+
+    Welford's update keeps M2 a sum of squared deviations from the
+    running mean, so no cancellation-prone E[x^2] - mean^2 is formed.
+    """
+    mean = m2 = times = None
+    for k in range(M):
+        try:
+            if mode == "quenched":
+                field = sample_noise(spec, f0.grid, k)
+                noisy = _PerturbedPotential(V, f0.grid, field.values)
+                traj = _evolve_density(f0, noisy, None, cfg)
+            else:
+                traj = _resampled_evolve(f0, V, spec, k, cfg)
+        except Exception as exc:  # annotate with the realization index
+            raise RealizationError(k, exc) from exc
+        if mean is None:
+            times = traj.times
+            mean = np.zeros((len(times),) + f0.values.shape, dtype=complex)
+            m2 = np.zeros(mean.shape)
+        for i, state in enumerate(traj.states):
+            delta = state.values - mean[i]
+            mean[i] += delta / (k + 1)
+            m2[i] += (delta * np.conj(state.values - mean[i])).real
+    return times, mean, m2
+
+
+def _closed_form_moments(f0, V, spec, M, cfg):
+    """Quenched pure-phase ensemble without stepping (see ensemble_evolve).
+
+    With u_k = exp(-i t dV_k) and b_k = u_k - 1, realization k at time t
+    is f0 D w_k, where D(Q, q) = exp(-i t [v(Q) - v(q)]) and
+    w_k = u_k(Q) conj(u_k(q)).  Only realization sums of b, |b|^2 and
+    b(Q) conj(b(q)) are needed: the last is one matrix product per
+    record and block.  M2 is taken about the noise-free value w = 1,
+    using |w_k - 1| = |b_k(Q) - b_k(q)|, so its rounding error scales
+    with the spread instead of with |f0|^2.
+    """
+    grid = f0.grid
+    n = grid.n_points
+    vx = V.value(grid.x)
+    try:
+        # unit-modulus factors keep |f| elementwise, so the tail monitor
+        # reads at every step what it reads on f0
+        _check_tail(f0.values, cfg, 1)
+    except BoundaryContaminationError as exc:
+        raise RealizationError(0, exc) from exc
+    steps = sorted(_record_steps(cfg))
+    pair = np.zeros((len(steps), n, n), dtype=complex)
+    first = np.zeros((len(steps), n), dtype=complex)
+    second = np.zeros((len(steps), n))
+    for start in range(0, M, _BLOCK):
+        ks = range(start, min(start + _BLOCK, M))
+        dv = np.array([sample_noise(spec, grid, k).values for k in ks])
+        bad = ~np.all(np.isfinite(vx + dv), axis=1)
+        if bad.any():
+            exc = DomainError("potential must be finite")
+            raise RealizationError(ks[int(np.argmax(bad))], exc) from exc
+        for r, step in enumerate(steps):
+            theta = (step * cfg.dt) * dv
+            # exp(-i theta) - 1 without cancellation at small theta
+            b = -2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta)
+            pair[r] += b.T @ b.conj()
+            first[r] += b.sum(axis=0)
+            second[r] += (b.real**2 + b.imag**2).sum(axis=0)
+
+    times = [f0.time] + [f0.time + step * cfg.dt for step in steps]
+    mean = np.empty((len(times), n, n), dtype=complex)
+    m2 = np.zeros(mean.shape)
+    mean[0] = f0.values
+    abs_f0_sq = np.abs(f0.values) ** 2
+    diag = np.diag_indices(n)
+    for r, step in enumerate(steps):
+        d = np.exp(-1j * (step * cfg.dt) * vx)
+        shift = (first[r][:, None] + first[r].conj()[None, :] + pair[r]) / M
+        mean[r + 1] = f0.values * np.outer(d, d.conj()) * (1.0 + shift)
+        spread = second[r][:, None] + second[r][None, :] - 2.0 * pair[r].real
+        # non-negative in exact arithmetic (Cauchy-Schwarz); guard rounding
+        m2[r + 1] = abs_f0_sq * np.maximum(spread - M * np.abs(shift) ** 2, 0.0)
+        # dV(Q) - dV(Q) vanishes: the diagonal never moves
+        mean[r + 1][diag] = f0.values[diag]
+        m2[r + 1][diag] = 0.0
+    return times, mean, m2
 
 
 def ensemble_evolve(
@@ -187,48 +288,32 @@ def ensemble_evolve(
     Each quenched realization evolves under V + dV_k with dV_k static
     over the whole window.  Means and elementwise standard errors are
     accumulated at every recorded time.
+
+    Quenched runs with the kinetic term off and a static V take a closed
+    form instead of the stepper: every factor is then the pure phase
+    exp(-i dt [v(Q) + dV_k(Q) - v(q) - dV_k(q)]), so s steps multiply f0
+    by exp(-i s dt ...) exactly, and the ensemble mean is one matrix
+    product of per-realization phase rows per recorded time.  The phase
+    vanishes on the diagonal, which therefore keeps f0's values with
+    zero error.  The realizations are accumulated in fixed-size blocks,
+    so memory does not grow with M.  Kinetic, time-dependent and
+    resampled runs are stepped realization by realization.
     """
     if M < 2:
         raise DomainError("need M >= 2 realizations for error bars")
     if mode not in _MODES:
         raise ConfigError(f"unknown ensemble mode {mode!r}")
-    grid = f0.grid
-    sums = None
-    sq_re = None
-    sq_im = None
-    times = None
-    for k in range(M):
-        try:
-            if mode == "quenched":
-                field = sample_noise(spec, grid, k)
-                noisy = _PerturbedPotential(V, grid, field.values)
-                traj = _evolve_density(f0, noisy, None, cfg)
-            else:
-                traj = _resampled_evolve(f0, V, spec, k, cfg)
-        except Exception as exc:  # annotate with the realization index
-            raise RealizationError(k, exc) from exc
-        stack = np.array([state.values for state in traj.states])
-        if sums is None:
-            times = traj.times
-            sums = np.zeros_like(stack)
-            sq_re = np.zeros(stack.shape)
-            sq_im = np.zeros(stack.shape)
-        sums += stack
-        sq_re += stack.real**2
-        sq_im += stack.imag**2
-    mean = sums / M
-    var = (sq_re / M - mean.real**2) + (sq_im / M - mean.imag**2)
-    var = np.clip(var, 0.0, None) * M / (M - 1)
-    stderr = np.sqrt(var / M)
-    mean_states = [
-        DensityGrid(grid, mean[i], t) for i, t in enumerate(times)
-    ]
+    if mode == "quenched" and not cfg.include_kinetic and not V.time_dependent:
+        times, mean, m2 = _closed_form_moments(f0, V, spec, M, cfg)
+    else:
+        times, mean, m2 = _stepped_moments(f0, V, spec, M, cfg, mode)
+    stderr = np.sqrt(m2 / ((M - 1) * M))
     return EnsembleReport(
         n_realizations=M,
         mode=mode,
         seed=spec.seed,
         times=list(times),
-        mean_states=mean_states,
+        mean_states=[DensityGrid(f0.grid, mean[i], t) for i, t in enumerate(times)],
         stderr=[stderr[i] for i in range(len(times))],
     )
 

@@ -20,7 +20,12 @@ from liouq import (
     sample_noise,
     von_neumann_evolve,
 )
-from liouq.errors import ConfigError, DomainError
+from liouq.errors import (
+    BoundaryContaminationError,
+    ConfigError,
+    DomainError,
+    RealizationError,
+)
 
 
 @pytest.fixture
@@ -112,6 +117,70 @@ def test_ensemble_zero_noise_reduces_to_vonneumann():
     rep = ensemble_evolve(cat, Harmonic(1.0), spec, 3, cfg)
     traj = von_neumann_evolve(cat, Harmonic(1.0), cfg)
     assert np.abs(rep.mean_states[-1].values - traj.states[-1].values).max() <= 1e-13
+
+
+def stepped_oracle(f0, V, spec, M, cfg):
+    from liouq.stochastic import _stepped_moments
+
+    times, mean, m2 = _stepped_moments(f0, V, spec, M, cfg, "quenched")
+    return times, mean, np.sqrt(m2 / ((M - 1) * M))
+
+
+def test_closed_form_matches_stepped_oracle(cat, grid):
+    from liouq.stochastic import _BLOCK
+
+    nu = np.linspace(0.0, 1.2, grid.n_points)
+    nu[::5] = 0.0  # noise-free cells: deterministic elements, zero error bars
+    spec = NoiseSpec(nu=nu, seed=7)
+    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=3, include_kinetic=False)
+    M = _BLOCK + 37  # a full block plus a partial one
+    rep = ensemble_evolve(cat, Harmonic(1.0), spec, M, cfg)
+    times, mean, stderr = stepped_oracle(cat, Harmonic(1.0), spec, M, cfg)
+    assert rep.times == times
+    for i in range(len(times)):
+        got = rep.mean_states[i].values
+        assert np.abs(got - mean[i]).max() <= 1e-12
+        assert np.allclose(rep.stderr[i], stderr[i], rtol=1e-10, atol=1e-15)
+        assert np.array_equal(rep.stderr[i] == 0.0, stderr[i] == 0.0)
+        assert np.array_equal(np.diag(got), np.diag(cat.values))
+        assert np.all(np.diag(rep.stderr[i]) == 0.0)
+
+
+def test_closed_form_rerun_is_deterministic(cat):
+    spec = NoiseSpec(nu=1.0, seed=13)
+    cfg = EvolverConfig(dt=0.1, n_steps=5, record_every=1, include_kinetic=False)
+    a = ensemble_evolve(cat, Harmonic(1.0), spec, 150, cfg)
+    b = ensemble_evolve(cat, Harmonic(1.0), spec, 150, cfg)
+    for sa, sb, ea, eb in zip(a.mean_states, b.mean_states, a.stderr, b.stderr):
+        assert np.array_equal(sa.values, sb.values)
+        assert np.array_equal(ea, eb)
+
+
+@pytest.mark.parametrize(
+    "f0, V, cause",
+    [
+        # flat state: the boundary frame carries the global peak
+        (DensityGrid(GridSpec(32, 10.0), np.ones((32, 32))), Constant(0.0),
+         BoundaryContaminationError),
+        (make_cat_density(GridSpec(32, 10.0), 4.0, 0.7), Constant(np.inf),
+         DomainError),
+    ],
+)
+def test_closed_form_errors_match_stepped_oracle(f0, V, cause):
+    spec = NoiseSpec(nu=1.0, seed=3)
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2, include_kinetic=False)
+    errors = []
+    for run in (
+        lambda: ensemble_evolve(f0, V, spec, 5, cfg),
+        lambda: stepped_oracle(f0, V, spec, 5, cfg),
+    ):
+        with np.errstate(invalid="ignore"), pytest.raises(RealizationError) as err:
+            run()
+        assert err.value.index == 0
+        assert isinstance(err.value.__cause__, cause)
+        errors.append(err.value.__cause__)
+    if cause is BoundaryContaminationError:
+        assert errors[0].step == errors[1].step == 1
 
 
 def test_ensemble_requires_two_realizations(cat):
@@ -241,6 +310,19 @@ def test_resampled_mode_decays_slower_per_unit_time(cat, grid):
     quenched_ratio = np.exp(-0.5)  # quenched law at t = 1
     resampled_ratio = abs(rep1.mean_states[-1].values[i, j]) / abs(cat.values[i, j])
     assert resampled_ratio > quenched_ratio
+
+
+def test_resampled_mode_has_dt_guard_and_tail_abort(grid):
+    from liouq.evolvers import TimeStepWarning
+
+    flat = DensityGrid(grid, np.ones((grid.n_points, grid.n_points)))
+    cfg = EvolverConfig(dt=0.1, n_steps=2)  # above the kinetic guard here
+    with pytest.warns(TimeStepWarning), pytest.raises(RealizationError) as err:
+        ensemble_evolve(flat, Constant(0.0), NoiseSpec(nu=1.0), 2, cfg,
+                        mode="resampled")
+    assert err.value.index == 0
+    assert isinstance(err.value.__cause__, BoundaryContaminationError)
+    assert err.value.__cause__.step == 1
 
 
 def test_monte_carlo_convergence_rate(grid):

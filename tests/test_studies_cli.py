@@ -242,6 +242,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+def test_cli_seed_rejected_where_unused(tmp_path):
+    # compare, evolve and spectrum draw no random numbers
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--scenario", write(tmp_path, HARMONIC), "--seed", "3",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_runtime_error_exit_code(tmp_path):
     missing = str(tmp_path / "does_not_exist.cfg")
     rc = main(["compare", "--scenario", missing, "--out", str(tmp_path / "out")])

@@ -20,7 +20,7 @@ def main() -> int:
     for dr in args.radii:
         est = void_probability_mc(SprinkleRegion(dr), args.trials, args.seed)
         print(
-            f"{dr:6.2f} {est.analytic_paper:12.6f} {est.analytic_exact:12.6f} "
+            f"{dr:6.2f} {est.analytic_bare:12.6f} {est.analytic_exact:12.6f} "
             f"{est.empirical:12.6f} {est.stderr:10.6f}"
         )
         exact = est.analytic_exact

@@ -7,6 +7,8 @@ quenched-noise decoherence with its dissipative stepper, and
 Poisson-void emptiness statistics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .causet import (
     SprinkleRegion,
     VoidEstimate,
@@ -86,5 +88,9 @@ from .studies import (
     run_void_study,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "0.1.0"

@@ -1,26 +1,34 @@
 """Time evolution engines.
 
-All engines use symmetric (Strang) operator splitting with the kinetic
-factor applied spectrally and the potential factor applied pointwise:
+Every engine runs one symmetric (Strang) splitting kernel, ``_strang``:
+a spectral kinetic half-step, a pointwise factor, a second kinetic
+half-step.  The engines differ only in the initial work array, the
+kinetic factor and the pointwise factor:
 
 * classical phase-space transport, run in the mixed (x, y)
-  representation where the streaming term is the spectral phase
-  exp(-i kx ky dt) and the force term is the pointwise phase
+  representation: kinetic phase exp(-i kx ky dt / 2), pointwise phase
   exp(-i y v'(x) dt);
 * density-grid transport with the full coupling field, pointwise phase
-  exp(-i [v(Q) - v(q) + E(Q, q)] dt);
-* commutator-only transport (the coupling field omitted), pointwise
-  phase exp(-i [v(Q) - v(q)] dt).
+  exp(-i [v(Q) - v(q) + E(Q, q)] dt), or without it (commutator only);
+* the noisy and dissipative density-grid steppers in ``stochastic``.
 
-The kinetic half-step phases of the classical and density engines agree
+All density-grid engines share the kinetic phase
+exp(-i dt [k^2(Q) - k^2(q)] / 4), which agrees with the classical one
 mode by mode under the shear, so for potentials of at most quadratic
-order the two discrete evolutions coincide to rounding accuracy.
+order the classical and density evolutions coincide to rounding.
 
-Every factor has unit modulus: the 2-norm is conserved exactly, the
-trace of the density grid is conserved because the spectral factor is
-one on the anti-diagonal modes and the pointwise phase vanishes on the
-diagonal, and Hermiticity is preserved by the conjugation symmetry of
-both factors.
+The kernel warns with ``TimeStepWarning`` when the kinetic factor is on
+and dt exceeds the spectral-phase guard.  The boundary tail monitor
+reads after each full step, i.e. after the second kinetic half-step,
+and aborts with ``BoundaryContaminationError`` above ``tail_threshold``;
+a recorded snapshot carries that same reading as its
+``boundary_fraction``.
+
+Every unitary factor has unit modulus: the 2-norm is conserved exactly,
+the trace of the density grid is conserved because the spectral factor
+is one on the anti-diagonal modes and the pointwise phase vanishes on
+the diagonal, and Hermiticity is preserved by the conjugation symmetry
+of both factors.
 """
 
 from __future__ import annotations
@@ -60,7 +68,6 @@ class EvolverConfig:
 
     dt: float
     n_steps: int
-    scheme: str = "strang_split"
     record_every: int = 1
     tail_threshold: float = 1e-10
     include_kinetic: bool = True
@@ -70,8 +77,6 @@ class EvolverConfig:
             raise ConfigError("dt must be positive")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be at least 1")
-        if self.scheme != "strang_split":
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.record_every < 1:
             raise ConfigError("record_every must be at least 1")
 
@@ -98,14 +103,15 @@ def _check_dt_guard(cfg: EvolverConfig, grid: GridSpec) -> None:
             f"dt={cfg.dt:.3e} exceeds the kinetic-phase guard {guard:.3e} "
             f"for spacing {grid.spacing:.3e}",
             TimeStepWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def _check_tail(work: np.ndarray, cfg: EvolverConfig, step: int) -> float:
+def _check_tail(work: np.ndarray, limit: float | None, step: int) -> float:
+    """Boundary fraction of ``work``; raise if it exceeds ``limit``."""
     tail = boundary_fraction(work)
-    if tail > cfg.tail_threshold:
-        raise BoundaryContaminationError(step, tail, cfg.tail_threshold)
+    if limit is not None and tail > limit:
+        raise BoundaryContaminationError(step, tail, limit)
     return tail
 
 
@@ -115,8 +121,47 @@ def _record_steps(cfg: EvolverConfig) -> set:
     return steps
 
 
+def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Trajectory:
+    """Run ``cfg.n_steps`` Strang steps on ``work`` and record a trajectory.
+
+    ``kin_half`` is the spectral half-step factor, or None to freeze the
+    kinetic term.  ``phase(work, step)`` applies step ``step``'s
+    pointwise factor to ``work`` in place.  ``snapshot(work, t)`` builds
+    the recorded state and ``diag(state, tail)`` its diagnostics.  The
+    tail is read after every full step and aborts the run once it
+    exceeds ``tail_limit`` (None records it without aborting).
+    """
+    _check_dt_guard(cfg, f0.grid)
+    record_at = _record_steps(cfg)
+    times = [f0.time]
+    states: list = [f0]
+    diags = [diag(f0, boundary_fraction(work))]
+    for step in range(1, cfg.n_steps + 1):
+        if kin_half is not None:
+            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
+        phase(work, step)
+        if kin_half is not None:
+            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
+        tail = _check_tail(work, tail_limit, step)
+        if step in record_at:
+            t = f0.time + step * cfg.dt
+            state = snapshot(work, t)
+            times.append(t)
+            states.append(state)
+            diags.append(diag(state, tail))
+    return Trajectory(times, states, diags)
+
+
 # ---------------------------------------------------------------------------
 # classical transport
+
+
+def _xp_diag(state: PhaseSpaceDistribution, tail: float) -> dict:
+    return {
+        "mass": state.mass(),
+        "min_value": float(state.values.min()),
+        "boundary_fraction": tail,
+    }
 
 
 def liouville_evolve_xp(
@@ -129,64 +174,43 @@ def liouville_evolve_xp(
     the streaming phase and the y = 0 line of the force phase are one.
     """
     grid = f0.grid
-    _check_dt_guard(cfg, grid)
-    n = grid.n_points
-    work = xp_to_xy(f0).values.copy()
     dt = cfg.dt
-
     kin_half = None
     if cfg.include_kinetic:
-        kx = 2.0 * np.pi * np.fft.fftfreq(n, grid.spacing)
-        ky = 2.0 * np.pi * np.fft.fftfreq(n, grid.y_spacing)
+        kx = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.spacing)
+        ky = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.y_spacing)
         kin_half = np.exp(-0.5j * dt * np.outer(kx, ky))
 
-    x = grid.x
-    y = grid.y
-    static_force = None
-    if not v.time_dependent:
-        static_force = np.exp(-1j * dt * np.outer(v.derivative(x), y))
+    def force(t: float) -> np.ndarray:
+        return np.exp(-1j * dt * np.outer(v.derivative(grid.x, t), grid.y))
 
-    def snapshot(t: float) -> PhaseSpaceDistribution:
-        return xy_to_xp(XYGrid(grid, work, t))
+    static_force = None if v.time_dependent else force(0.0)
 
-    record_at = _record_steps(cfg)
-    times = [f0.time]
-    states: list = [f0]
-    diags = [
-        {
-            "mass": f0.mass(),
-            "min_value": float(f0.values.min()),
-            "boundary_fraction": boundary_fraction(work),
-        }
-    ]
-    for step in range(1, cfg.n_steps + 1):
-        t_mid = f0.time + (step - 0.5) * dt
-        if kin_half is not None:
-            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
+    def phase(work: np.ndarray, step: int) -> None:
         if static_force is not None:
             work *= static_force
         else:
-            work *= np.exp(-1j * dt * np.outer(v.derivative(x, t_mid), y))
-        if kin_half is not None:
-            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
-        tail = _check_tail(work, cfg, step)
-        if step in record_at:
-            t = f0.time + step * dt
-            snap = snapshot(t)
-            times.append(t)
-            states.append(snap)
-            diags.append(
-                {
-                    "mass": snap.mass(),
-                    "min_value": float(snap.values.min()),
-                    "boundary_fraction": tail,
-                }
-            )
-    return Trajectory(times, states, diags)
+            work *= force(f0.time + (step - 0.5) * dt)
+
+    def snapshot(work: np.ndarray, t: float) -> PhaseSpaceDistribution:
+        return xy_to_xp(XYGrid(grid, work.copy(), t))
+
+    work = xp_to_xy(f0).values.copy()
+    return _strang(
+        f0, work, cfg, kin_half, phase, snapshot, _xp_diag, cfg.tail_threshold
+    )
 
 
 # ---------------------------------------------------------------------------
 # density-grid transport
+
+
+def _density_kinetic_half(grid: GridSpec, cfg: EvolverConfig) -> np.ndarray | None:
+    """Half-step factor exp(-i dt [k^2(Q) - k^2(q)] / 4), or None if frozen."""
+    if not cfg.include_kinetic:
+        return None
+    k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.spacing)) ** 2
+    return np.exp(-0.25j * cfg.dt * (k2[:, None] - k2[None, :]))
 
 
 def _density_diag(state: DensityGrid, tail: float) -> dict:
@@ -198,6 +222,21 @@ def _density_diag(state: DensityGrid, tail: float) -> dict:
     }
 
 
+def _strang_density(f0: DensityGrid, cfg, phase, tail_limit) -> Trajectory:
+    """``_strang`` on a density grid, with its shared kinetic factor."""
+    grid = f0.grid
+    return _strang(
+        f0,
+        f0.values.copy(),
+        cfg,
+        _density_kinetic_half(grid, cfg),
+        phase,
+        lambda work, t: DensityGrid(grid, work.copy(), t),
+        _density_diag,
+        tail_limit,
+    )
+
+
 def _evolve_density(
     f0: DensityGrid,
     v: Potential,
@@ -205,21 +244,10 @@ def _evolve_density(
     cfg: EvolverConfig,
 ) -> Trajectory:
     grid = f0.grid
-    _check_dt_guard(cfg, grid)
-    n = grid.n_points
     dt = cfg.dt
-    work = f0.values.copy()
-
-    kin_half = None
-    if cfg.include_kinetic:
-        k = 2.0 * np.pi * np.fft.fftfreq(n, grid.spacing)
-        k2 = k**2
-        kin_half = np.exp(-0.25j * dt * (k2[:, None] - k2[None, :]))
-
-    x = grid.x
 
     def potential_phase(t_mid: float) -> np.ndarray:
-        vx = v.value(x, t_mid)
+        vx = v.value(grid.x, t_mid)
         pot = vx[:, None] - vx[None, :]
         if extra is not None:
             pot = pot + extra
@@ -227,27 +255,13 @@ def _evolve_density(
 
     static_phase = None if v.time_dependent else potential_phase(0.0)
 
-    record_at = _record_steps(cfg)
-    times = [f0.time]
-    states: list = [f0]
-    diags = [_density_diag(f0, boundary_fraction(work))]
-    for step in range(1, cfg.n_steps + 1):
-        if kin_half is not None:
-            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
+    def phase(work: np.ndarray, step: int) -> None:
         if static_phase is not None:
             work *= static_phase
         else:
             work *= potential_phase(f0.time + (step - 0.5) * dt)
-        if kin_half is not None:
-            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
-        tail = _check_tail(work, cfg, step)
-        if step in record_at:
-            t = f0.time + step * dt
-            state = DensityGrid(grid, work.copy(), t)
-            times.append(t)
-            states.append(state)
-            diags.append(_density_diag(state, tail))
-    return Trajectory(times, states, diags)
+
+    return _strang_density(f0, cfg, phase, cfg.tail_threshold)
 
 
 def _require_hermitian(f0: DensityGrid) -> None:

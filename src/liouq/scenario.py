@@ -74,7 +74,6 @@ SCHEMA = {
     "noise.nu0": ("float", 1.0),
     "noise.seed": ("int", 12345),
     "noise.mode": ("str", "quenched"),
-    "noise.distribution": ("str", "gaussian"),
     "ensemble.realizations": ("int", 1000),
     "probes": ("list", None),
     "output.dir": ("str", None),
@@ -252,7 +251,6 @@ class Scenario:
         return NoiseSpec(
             nu=self["noise.nu0"],
             seed=self["noise.seed"] if seed is None else seed,
-            distribution=self["noise.distribution"],
         )
 
     @property

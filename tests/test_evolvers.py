@@ -44,8 +44,6 @@ def test_config_validation():
         EvolverConfig(dt=0.0, n_steps=1)
     with pytest.raises(ConfigError):
         EvolverConfig(dt=0.1, n_steps=0)
-    with pytest.raises(ConfigError):
-        EvolverConfig(dt=0.1, n_steps=1, scheme="euler")
 
 
 def test_harmonic_quarter_period_rotation(grid64):
@@ -78,6 +76,16 @@ def test_free_streaming():
     ref = np.exp(-0.5 * (X / SIGMA) ** 2 - 0.5 * ((P - 1.0) / SIGMA) ** 2)
     g /= ref.sum() * grid.spacing * grid.momentum_spacing
     assert np.abs(final.values - g).max() <= 1e-10
+
+
+def test_frozen_kinetic_records_every_step(grid64):
+    # with no kinetic factor the force phase is applied in place; a
+    # recorded snapshot must not freeze the work array under it
+    f0 = make_gaussian_phase_space(0.5, 0.0, SIGMA, SIGMA, grid64)
+    cfg = EvolverConfig(dt=0.01, n_steps=4, record_every=1, include_kinetic=False)
+    traj = liouville_evolve_xp(f0, Harmonic(1.0), cfg)
+    assert len(traj.states) == 5
+    assert all(abs(d["mass"] - 1.0) <= 1e-12 for d in traj.diagnostics)
 
 
 def test_zero_steps_not_allowed_identity_is_trivial(grid64):

@@ -121,9 +121,6 @@ def void_probability_mc(
             empty += 1
     empirical = empty / n_trials
     stderr = float(np.sqrt(empirical * (1.0 - empirical) / n_trials))
-    bare_value, exact_value = void_probability_analytic(
-        region.dr, rho=region.rho, duration=region.duration
-    )
-    if region.geometry == "box":
-        exact_value = float(np.exp(-region.rho * region.volume4))
+    bare_value = float(np.exp(-(region.dr**3)))
+    exact_value = float(np.exp(-mean_count))
     return VoidEstimate(bare_value, exact_value, empirical, stderr, n_trials)

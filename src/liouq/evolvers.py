@@ -12,6 +12,10 @@ kinetic factor and the pointwise factor:
   exp(-i [v(Q) - v(q) + E(Q, q)] dt), or without it (commutator only);
 * the noisy and dissipative density-grid steppers in ``stochastic``.
 
+Every engine, the noisy and dissipative ones included, takes its
+potential phase from ``_midpoint_phase``, which samples a time-dependent
+potential at the step midpoint t0 + (s - 1/2) dt, as Strang needs.
+
 All density-grid engines share the kinetic phase
 exp(-i dt [k^2(Q) - k^2(q)] / 4), which agrees with the classical one
 mode by mode under the shear, so for potentials of at most quadratic
@@ -33,6 +37,7 @@ of both factors.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import List
@@ -46,6 +51,7 @@ from .grids import (
     PhaseSpaceDistribution,
     XYGrid,
     boundary_fraction,
+    hermiticity_defect,
     xp_to_xy,
     xy_to_xp,
 )
@@ -99,11 +105,15 @@ class Trajectory:
 def _check_dt_guard(cfg: EvolverConfig, grid: GridSpec) -> None:
     guard = 0.1 * grid.spacing**2
     if cfg.include_kinetic and cfg.dt > guard:
+        # name the innermost caller outside this package, at any engine depth
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"dt={cfg.dt:.3e} exceeds the kinetic-phase guard {guard:.3e} "
             f"for spacing {grid.spacing:.3e}",
             TimeStepWarning,
-            stacklevel=4,
+            stacklevel=level,
         )
 
 
@@ -119,6 +129,22 @@ def _record_steps(cfg: EvolverConfig) -> set:
     steps = set(range(cfg.record_every, cfg.n_steps + 1, cfg.record_every))
     steps.add(cfg.n_steps)
     return steps
+
+
+def _midpoint_phase(factor, time_dependent: bool, t0: float, dt: float):
+    """In-place ``phase(work, step)``: ``factor`` at the step midpoint.
+
+    A static factor is built once.
+    """
+    static = None if time_dependent else factor(0.0)
+
+    def phase(work: np.ndarray, step: int) -> None:
+        if static is None:
+            work *= factor(t0 + (step - 0.5) * dt)
+        else:
+            work *= static
+
+    return phase
 
 
 def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Trajectory:
@@ -184,13 +210,7 @@ def liouville_evolve_xp(
     def force(t: float) -> np.ndarray:
         return np.exp(-1j * dt * np.outer(v.derivative(grid.x, t), grid.y))
 
-    static_force = None if v.time_dependent else force(0.0)
-
-    def phase(work: np.ndarray, step: int) -> None:
-        if static_force is not None:
-            work *= static_force
-        else:
-            work *= force(f0.time + (step - 0.5) * dt)
+    phase = _midpoint_phase(force, v.time_dependent, f0.time, dt)
 
     def snapshot(work: np.ndarray, t: float) -> PhaseSpaceDistribution:
         return xy_to_xp(XYGrid(grid, work.copy(), t))
@@ -214,10 +234,9 @@ def _density_kinetic_half(grid: GridSpec, cfg: EvolverConfig) -> np.ndarray | No
 
 
 def _density_diag(state: DensityGrid, tail: float) -> dict:
-    defect = float(np.abs(state.values - state.values.conj().T).max())
     return {
         "trace": state.trace(),
-        "hermiticity_defect": defect,
+        "hermiticity_defect": hermiticity_defect(state.values),
         "boundary_fraction": tail,
     }
 
@@ -237,35 +256,32 @@ def _strang_density(f0: DensityGrid, cfg, phase, tail_limit) -> Trajectory:
     )
 
 
+def _potential_phase(f0: DensityGrid, v: Potential, cfg, extra=None, scale=1.0):
+    """``phase(work, step)`` for exp(-i scale dt [v(Q) - v(q) + extra])."""
+    x = f0.grid.x
+
+    def factor(t: float) -> np.ndarray:
+        vx = v.value(x, t)
+        pot = vx[:, None] - vx[None, :]
+        if extra is not None:
+            pot = pot + extra
+        return np.exp(-1j * scale * cfg.dt * pot)
+
+    return _midpoint_phase(factor, v.time_dependent, f0.time, cfg.dt)
+
+
 def _evolve_density(
     f0: DensityGrid,
     v: Potential,
     extra: np.ndarray | None,
     cfg: EvolverConfig,
 ) -> Trajectory:
-    grid = f0.grid
-    dt = cfg.dt
-
-    def potential_phase(t_mid: float) -> np.ndarray:
-        vx = v.value(grid.x, t_mid)
-        pot = vx[:, None] - vx[None, :]
-        if extra is not None:
-            pot = pot + extra
-        return np.exp(-1j * dt * pot)
-
-    static_phase = None if v.time_dependent else potential_phase(0.0)
-
-    def phase(work: np.ndarray, step: int) -> None:
-        if static_phase is not None:
-            work *= static_phase
-        else:
-            work *= potential_phase(f0.time + (step - 0.5) * dt)
-
+    phase = _potential_phase(f0, v, cfg, extra)
     return _strang_density(f0, cfg, phase, cfg.tail_threshold)
 
 
 def _require_hermitian(f0: DensityGrid) -> None:
-    defect = float(np.abs(f0.values - f0.values.conj().T).max())
+    defect = hermiticity_defect(f0.values)
     scale = max(float(np.abs(f0.values).max()), 1.0)
     if defect > 1e-9 * scale:
         raise DomainError(f"initial state not Hermitian: defect {defect:.3e}")

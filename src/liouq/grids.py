@@ -373,6 +373,11 @@ def boundary_fraction(values: np.ndarray) -> float:
     return frame / peak
 
 
+def hermiticity_defect(values: np.ndarray) -> float:
+    """Largest elementwise |values - values^H|."""
+    return float(np.abs(values - values.conj().T).max())
+
+
 def diagnostics(f: DensityGrid) -> StateDiagnostics:
     """Trace, Hermiticity defect and reconstructed-density minimum.
 
@@ -381,7 +386,7 @@ def diagnostics(f: DensityGrid) -> StateDiagnostics:
     it is never clipped.
     """
     tr = f.trace()
-    defect = float(np.abs(f.values - f.values.conj().T).max())
+    defect = hermiticity_defect(f.values)
     reconstructed = Qq_to_xp(f).values
     min_density = float(reconstructed.min())
     peak = float(np.abs(reconstructed).max())

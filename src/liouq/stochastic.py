@@ -35,6 +35,7 @@ from .evolvers import (
     Trajectory,
     _check_tail,
     _evolve_density,
+    _potential_phase,
     _record_steps,
     _strang_density,
 )
@@ -107,33 +108,6 @@ def _profile(nu, grid: GridSpec) -> np.ndarray:
     return spec.nu_on_grid(grid)
 
 
-@dataclass(frozen=True)
-class _PerturbedPotential(Potential):
-    """Base potential plus a lattice-sampled field.
-
-    The field enters the evolution only through values on the spatial
-    lattice, where the interpolation is exact.
-    """
-
-    base: Potential
-    grid: GridSpec
-    field: np.ndarray
-    kind = "perturbed"
-    harmonic_order = False
-
-    @property
-    def time_dependent(self) -> bool:
-        return self.base.time_dependent
-
-    def value(self, x, t: float = 0.0):
-        return self.base.value(x, t) + np.interp(
-            np.asarray(x, dtype=float), self.grid.x, self.field
-        )
-
-    def derivative(self, x, t: float = 0.0):
-        raise DomainError("lattice-sampled noise has no pointwise derivative")
-
-
 @dataclass
 class EnsembleReport:
     """Averaged states and per-element standard errors per recorded time."""
@@ -156,13 +130,15 @@ class EnsembleReport:
 def _resampled_evolve(
     f0: DensityGrid, V: Potential, draws, cfg: EvolverConfig
 ) -> Trajectory:
-    # Exploratory mode: a fresh field from ``draws`` each step instead of
-    # one static draw per realization.  The decay it produces depends on dt.
-    vx = V.value(f0.grid.x)
+    # Exploratory mode: each step takes the potential phase of V, then the
+    # phase of a fresh field from ``draws`` instead of one static draw per
+    # realization.  The decay it produces depends on dt.
+    potential = _potential_phase(f0, V, cfg)
 
     def phase(work: np.ndarray, step: int) -> None:
-        vv = vx + next(draws)
-        work *= np.exp(-1j * cfg.dt * (vv[:, None] - vv[None, :]))
+        potential(work, step)
+        dv = next(draws)
+        work *= np.exp(-1j * cfg.dt * (dv[:, None] - dv[None, :]))
 
     return _strang_density(f0, cfg, phase, cfg.tail_threshold)
 
@@ -179,8 +155,8 @@ def _stepped_moments(f0, V, spec, M, cfg, mode):
         draws = _draws(profile, spec.seed, k)
         try:
             if mode == "quenched":
-                noisy = _PerturbedPotential(V, f0.grid, next(draws))
-                traj = _evolve_density(f0, noisy, None, cfg)
+                dv = next(draws)
+                traj = _evolve_density(f0, V, dv[:, None] - dv[None, :], cfg)
             else:
                 traj = _resampled_evolve(f0, V, draws, cfg)
         except Exception as exc:  # annotate with the realization index
@@ -316,22 +292,21 @@ def lindblad_evolve(
     Per step: kinetic half-step, then the pointwise potential half-phase,
     the damping exp(-(t + dt/2) dt [nu^2(Q) + nu^2(q)]) off the diagonal
     and the second potential half-phase, then the second kinetic
-    half-step.  The diagonal is untouched, so the trace is conserved
-    exactly by the dissipative factor, and with nu = 0 the step is one
-    commutator-transport step.  The boundary tail is recorded but does
-    not abort the run.
+    half-step.  Like every engine, both half-phases sample a
+    time-dependent V at the step midpoint.  The diagonal is untouched,
+    so the trace is conserved exactly by the dissipative factor, and
+    with nu = 0 the step is one commutator-transport step.  The boundary
+    tail is recorded but does not abort the run.
     """
-    grid = f0.grid
-    rates = _decay_rates(_profile(nu, grid))
+    rates = _decay_rates(_profile(nu, f0.grid))
     dt = cfg.dt
-    vx = V.value(grid.x)
-    pot_half = np.exp(-0.5j * dt * (vx[:, None] - vx[None, :]))
+    pot_half = _potential_phase(f0, V, cfg, scale=0.5)
 
     def phase(work: np.ndarray, step: int) -> None:
         t_prev = f0.time + (step - 1) * dt
-        work *= pot_half
+        pot_half(work, step)
         work *= np.exp(-(t_prev + 0.5 * dt) * dt * rates)
-        work *= pot_half
+        pot_half(work, step)
 
     # No tail abort: the damping has zero rate on the diagonal, so it is
     # not smooth, and the kinetic half-steps ring it out to the box edge.
@@ -358,10 +333,14 @@ def compare_ensemble_vs_lindblad(
     The PASS flag requires elementwise agreement within three standard
     errors over the window t * max(nu) <= 2, with a small allowance for
     the expected tail of the error distribution (a strict all-elements
-    rule would fail statistically on large grids).
+    rule would fail statistically on large grids).  Records are paired
+    by index; their counts and times must agree.
     """
     times = report.times
-    traj_by_time = {round(t, 12): s for t, s in zip(traj.times, traj.states)}
+    if len(traj.times) != len(times) or any(
+        abs(t - u) > 1e-9 * max(1.0, abs(t)) for t, u in zip(times, traj.times)
+    ):
+        raise ConfigError("ensemble and trajectory record different times")
     maxnorm = []
     l2 = []
     worst_z = 0.0
@@ -370,12 +349,8 @@ def compare_ensemble_vs_lindblad(
     nu_max = None
     if nu is not None:
         nu_max = float(_profile(nu, report.mean_states[0].grid).max())
-    for idx, t in enumerate(times):
-        key = round(t, 12)
-        if key not in traj_by_time:
-            raise ConfigError(f"trajectory lacks recorded time {t}")
+    for idx, (t, other) in enumerate(zip(times, traj.states)):
         mean_state = report.mean_states[idx]
-        other = traj_by_time[key]
         if other.grid != mean_state.grid:
             raise ConfigError("ensemble and trajectory grids do not match")
         diff = np.abs(mean_state.values - other.values)

@@ -106,6 +106,10 @@ def test_mc_emptiness_matches_exact_law():
     assert est.analytic_exact == pytest.approx(
         np.exp(-(4.0 * np.pi / 3.0) * 0.125), rel=1e-12
     )
+    # the exact law follows the region's geometry, density and duration
+    box = SprinkleRegion(0.5, duration=2.0, geometry="box", rho=3.0)
+    est = void_probability_mc(box, 100, seed=12)
+    assert est.analytic_exact == pytest.approx(np.exp(-3.0 * 0.125 * 2.0), rel=1e-12)
 
 
 def test_mc_large_radius_never_empty():

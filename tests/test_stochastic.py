@@ -11,13 +11,19 @@ from liouq import (
     EvolverConfig,
     GridSpec,
     Harmonic,
+    Linear,
     NoiseSpec,
+    Qq_to_xp,
     compare_ensemble_vs_lindblad,
     decay_predict,
     ensemble_evolve,
     lindblad_evolve,
+    liouville_evolve_xp,
     make_cat_density,
+    qq_liouville_evolve,
     sample_noise,
+    step_schedule,
+    superoperator_field,
     von_neumann_evolve,
 )
 from liouq.errors import (
@@ -246,12 +252,50 @@ def test_lindblad_records_tail_without_abort():
     assert max(tails) > cfg.tail_threshold
 
 
-def test_lindblad_zero_noise_is_vonneumann():
+def switched_force():
+    """Linear potential whose slope steps from 0 to 3 at t = 0.1."""
+    return Linear(step_schedule([[0.0, 0.0], [0.1, 3.0]]))
+
+
+@pytest.mark.parametrize(
+    "v", [Harmonic(1.0), switched_force()], ids=["harmonic", "switched_linear"]
+)
+def test_lindblad_zero_noise_is_vonneumann(v):
     cat = make_cat_density(GridSpec(48, 10.0), 4.0, 0.7)
     cfg = EvolverConfig(dt=0.01, n_steps=20, record_every=20)
-    a = lindblad_evolve(cat, Harmonic(1.0), 0.0, cfg)
-    b = von_neumann_evolve(cat, Harmonic(1.0), cfg)
+    a = lindblad_evolve(cat, v, 0.0, cfg)
+    b = von_neumann_evolve(cat, v, cfg)
     assert np.abs(a.states[-1].values - b.states[-1].values).max() <= 1e-12
+
+
+def test_resampled_zero_noise_follows_time_dependent_potential():
+    cat = make_cat_density(GridSpec(48, 10.0), 4.0, 0.7)
+    cfg = EvolverConfig(dt=0.01, n_steps=20, record_every=20)
+    v = switched_force()
+    rep = ensemble_evolve(cat, v, NoiseSpec(nu=0.0, seed=1), 2, cfg,
+                          mode="resampled")
+    traj = von_neumann_evolve(cat, v, cfg)
+    assert np.abs(rep.mean_states[-1].values - traj.states[-1].values).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f, v, cfg: liouville_evolve_xp(Qq_to_xp(f), v, cfg),
+        lambda f, v, cfg: von_neumann_evolve(f, v, cfg),
+        lambda f, v, cfg: qq_liouville_evolve(
+            f, v, superoperator_field(v, f.grid), cfg
+        ),
+        lambda f, v, cfg: lindblad_evolve(f, v, 1.0, cfg),
+        lambda f, v, cfg: ensemble_evolve(f, v, NoiseSpec(1.0), 2, cfg),
+    ],
+    ids=["xp", "von_neumann", "qq", "lindblad", "stepped_ensemble"],
+)
+def test_dt_guard_warning_names_the_caller(cat, run):
+    cfg = EvolverConfig(dt=0.05, n_steps=1, tail_threshold=1.0)  # dt > 0.1 dx^2
+    with pytest.warns(TimeStepWarning) as record:
+        run(cat, Harmonic(1.0), cfg)
+    assert record[0].filename == __file__
 
 
 def test_decay_predict_values(cat, grid):
@@ -315,6 +359,19 @@ def test_compare_rejects_mismatched_grids(cat):
         compare_ensemble_vs_lindblad(rep, traj, nu=spec)
 
 
+def test_compare_rejects_mismatched_records(cat):
+    spec = NoiseSpec(nu=1.0, seed=2)
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2, include_kinetic=False)
+    rep = ensemble_evolve(cat, Constant(0.0), spec, 4, cfg)
+    for other in (
+        EvolverConfig(dt=0.1, n_steps=4, record_every=1, include_kinetic=False),
+        EvolverConfig(dt=0.15, n_steps=2, record_every=1, include_kinetic=False),
+    ):
+        traj = lindblad_evolve(cat, Constant(0.0), spec, other)
+        with pytest.raises(ConfigError):
+            compare_ensemble_vs_lindblad(rep, traj, nu=spec)
+
+
 def test_resampled_mode_decays_slower_per_unit_time(cat, grid):
     # exploratory per-step redraw: step-to-step phases average out, so the
     # decay depends on dt; just exercise determinism and basic behaviour
@@ -372,7 +429,6 @@ def test_short_time_consistency_third_order():
     norm = weights.sum()
 
     from liouq.evolvers import _evolve_density
-    from liouq.stochastic import _PerturbedPotential
 
     def exact_average(t, n_steps):
         cfg = EvolverConfig(dt=t / n_steps, n_steps=n_steps,
@@ -381,8 +437,8 @@ def test_short_time_consistency_third_order():
         for node, weight in zip(nodes, weights):
             dv = np.zeros(grid.n_points)
             dv[cell] = nu0 * node
-            noisy = _PerturbedPotential(Constant(0.0), grid, dv)
-            out = _evolve_density(f0, noisy, None, cfg).states[-1].values
+            extra = dv[:, None] - dv[None, :]
+            out = _evolve_density(f0, Constant(0.0), extra, cfg).states[-1].values
             total = total + weight * out
         return total / norm
 

@@ -2,8 +2,10 @@
 
 Every engine runs one symmetric (Strang) splitting kernel, ``_strang``:
 a spectral kinetic half-step, a pointwise factor, a second kinetic
-half-step.  The engines differ only in the initial work array, the
-kinetic factor and the pointwise factor:
+half-step.  The second half-step of one step and the first of the next
+are fused into one full kinetic step, so a step costs one FFT pair.
+The engines differ only in the initial work array, the kinetic factor
+and the pointwise factor:
 
 * classical phase-space transport, run in the mixed (x, y)
   representation: kinetic phase exp(-i kx ky dt / 2), pointwise phase
@@ -23,10 +25,14 @@ order the classical and density evolutions coincide to rounding.
 
 The kernel warns with ``TimeStepWarning`` when the kinetic factor is on
 and dt exceeds the spectral-phase guard.  The boundary tail monitor
-reads after each full step, i.e. after the second kinetic half-step,
-and aborts with ``BoundaryContaminationError`` above ``tail_threshold``;
-a recorded snapshot carries that same reading as its
-``boundary_fraction``.
+aborts with ``BoundaryContaminationError`` above ``tail_threshold``.
+A fused step holds position space only where the pointwise factor acts,
+half a kinetic step short of the full step, so the monitor reads there
+every step; at a record, and so at the final step, it reads the
+full-step state itself, and a recorded snapshot carries that reading as
+its ``boundary_fraction``.  An abort may therefore come a step or two
+away from where a monitor after every full step would raise it, but no
+returned state exceeds the threshold.
 
 Every unitary factor has unit modulus: the 2-norm is conserved exactly,
 the trace of the density grid is conserved because the spectral factor
@@ -131,18 +137,24 @@ def _record_steps(cfg: EvolverConfig) -> set:
     return steps
 
 
-def _midpoint_phase(factor, time_dependent: bool, t0: float, dt: float):
-    """In-place ``phase(work, step)``: ``factor`` at the step midpoint.
+def _midpoint_phase(sample, build, time_dependent: bool, t0: float, dt: float):
+    """In-place ``phase(work, step)``: ``build(sample(t))`` at the step midpoint t.
 
-    A static factor is built once.
+    ``sample(t)`` is the potential's length-n profile and ``build`` turns
+    it into the n x n factor.  The factor is rebuilt only when the
+    profile differs from the last one, so a static potential builds it
+    once and a piecewise-constant schedule once per piece.
     """
-    static = None if time_dependent else factor(0.0)
+    profile = sample(t0 + 0.5 * dt)
+    factor = build(profile)
 
     def phase(work: np.ndarray, step: int) -> None:
-        if static is None:
-            work *= factor(t0 + (step - 0.5) * dt)
-        else:
-            work *= static
+        nonlocal profile, factor
+        if time_dependent:
+            current = sample(t0 + (step - 0.5) * dt)
+            if not np.array_equal(current, profile):
+                profile, factor = current, build(current)
+        work *= factor
 
     return phase
 
@@ -153,23 +165,44 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Traje
     ``kin_half`` is the spectral half-step factor, or None to freeze the
     kinetic term.  ``phase(work, step)`` applies step ``step``'s
     pointwise factor to ``work`` in place.  ``snapshot(work, t)`` builds
-    the recorded state and ``diag(state, tail)`` its diagnostics.  The
-    tail is read after every full step and aborts the run once it
-    exceeds ``tail_limit`` (None records it without aborting).
+    the recorded state and ``diag(state, tail)`` its diagnostics.
+
+    Adjacent kinetic half-steps are fused (K½ V K½ · K½ V K½ =
+    K½ V K V K½): the state stays in Fourier space between pointwise
+    factors, so a step costs one inverse and one forward transform, and
+    the full-step state one more inverse transform, at records only.
+
+    The tail monitor aborts the run once the boundary fraction exceeds
+    ``tail_limit``.  It reads every step on the position-space array the
+    pointwise factor acted on: the full-step state when the kinetic term
+    is frozen, otherwise half a kinetic step short of it, the only
+    position-space array a fused step holds.  At a record it reads the
+    full-step state itself, so a recorded tail is that of the returned
+    state and no returned state exceeds the limit.  With
+    ``tail_limit=None`` nothing can abort, and the tail is read at
+    records only.
     """
     _check_dt_guard(cfg, f0.grid)
     record_at = _record_steps(cfg)
     times = [f0.time]
     states: list = [f0]
     diags = [diag(f0, boundary_fraction(work))]
+    if kin_half is not None:
+        kin = kin_half * kin_half
+        spec = np.fft.fft2(work) * kin_half
     for step in range(1, cfg.n_steps + 1):
         if kin_half is not None:
-            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
+            work = np.fft.ifft2(spec)
         phase(work, step)
+        recorded = step in record_at
         if kin_half is not None:
-            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
-        tail = _check_tail(work, tail_limit, step)
-        if step in record_at:
+            spec = np.fft.fft2(work)
+            if recorded:
+                work = np.fft.ifft2(spec * kin_half)
+            spec *= kin
+        if recorded or tail_limit is not None:
+            tail = _check_tail(work, tail_limit, step)
+        if recorded:
             t = f0.time + step * cfg.dt
             state = snapshot(work, t)
             times.append(t)
@@ -207,10 +240,13 @@ def liouville_evolve_xp(
         ky = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.y_spacing)
         kin_half = np.exp(-0.5j * dt * np.outer(kx, ky))
 
-    def force(t: float) -> np.ndarray:
-        return np.exp(-1j * dt * np.outer(v.derivative(grid.x, t), grid.y))
-
-    phase = _midpoint_phase(force, v.time_dependent, f0.time, dt)
+    phase = _midpoint_phase(
+        lambda t: v.derivative(grid.x, t),
+        lambda force: np.exp(-1j * dt * np.outer(force, grid.y)),
+        v.time_dependent,
+        f0.time,
+        dt,
+    )
 
     def snapshot(work: np.ndarray, t: float) -> PhaseSpaceDistribution:
         return xy_to_xp(XYGrid(grid, work.copy(), t))
@@ -260,14 +296,15 @@ def _potential_phase(f0: DensityGrid, v: Potential, cfg, extra=None, scale=1.0):
     """``phase(work, step)`` for exp(-i scale dt [v(Q) - v(q) + extra])."""
     x = f0.grid.x
 
-    def factor(t: float) -> np.ndarray:
-        vx = v.value(x, t)
+    def factor(vx: np.ndarray) -> np.ndarray:
         pot = vx[:, None] - vx[None, :]
         if extra is not None:
             pot = pot + extra
         return np.exp(-1j * scale * cfg.dt * pot)
 
-    return _midpoint_phase(factor, v.time_dependent, f0.time, cfg.dt)
+    return _midpoint_phase(
+        lambda t: v.value(x, t), factor, v.time_dependent, f0.time, cfg.dt
+    )
 
 
 def _evolve_density(

@@ -293,10 +293,12 @@ def lindblad_evolve(
     the damping exp(-(t + dt/2) dt [nu^2(Q) + nu^2(q)]) off the diagonal
     and the second potential half-phase, then the second kinetic
     half-step.  Like every engine, both half-phases sample a
-    time-dependent V at the step midpoint.  The diagonal is untouched,
-    so the trace is conserved exactly by the dissipative factor, and
-    with nu = 0 the step is one commutator-transport step.  The boundary
-    tail is recorded but does not abort the run.
+    time-dependent V at the step midpoint, and both apply one factor,
+    built again only when the sampled potential changes.  The diagonal
+    is untouched, so the trace is conserved exactly by the dissipative
+    factor, and with nu = 0 the step is one commutator-transport step.
+    The boundary tail is read and recorded at recorded times, and does
+    not abort the run.
     """
     rates = _decay_rates(_profile(nu, f0.grid))
     dt = cfg.dt

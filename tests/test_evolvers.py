@@ -10,8 +10,11 @@ from liouq import (
     GridSpec,
     Harmonic,
     Linear,
+    NoiseSpec,
     Quartic,
     dense_generator,
+    ensemble_evolve,
+    lindblad_evolve,
     liouville_evolve_xp,
     make_gaussian_phase_space,
     qq_liouville_evolve,
@@ -20,11 +23,13 @@ from liouq import (
     von_neumann_evolve,
     xp_to_Qq,
 )
+from liouq import evolvers
 from liouq.errors import (
     BoundaryContaminationError,
     ConfigError,
     DomainError,
 )
+from liouq.grids import boundary_fraction
 
 SIGMA = 1.0 / np.sqrt(2.0)
 
@@ -218,14 +223,31 @@ def test_non_hermitian_initial_state_rejected(grid64):
         von_neumann_evolve(lq.DensityGrid(grid64, vals), Constant(0.0), cfg)
 
 
+def _abort_step(engine, f0, v, cfg) -> int:
+    with pytest.raises(BoundaryContaminationError) as err:
+        engine(f0, v, cfg)
+    return err.value.step
+
+
 @pytest.mark.filterwarnings("ignore::liouq.evolvers.TimeStepWarning")
-def test_boundary_contamination_raises_with_step(grid64):
+def test_boundary_contamination_raises_with_step(grid64, monkeypatch):
     # fast packet: reaches the boundary quickly
     f0 = make_gaussian_phase_space(4.0, 2.0, 0.5, 0.5, grid64)
     cfg = EvolverConfig(dt=0.01, n_steps=400, record_every=400)
-    with pytest.raises(BoundaryContaminationError) as err:
-        liouville_evolve_xp(f0, Constant(0.0), cfg)
-    assert err.value.step >= 1
+    assert _abort_step(liouville_evolve_xp, f0, Constant(0.0), cfg) >= 1
+    # the fused monitor reads half a kinetic step short of the full step,
+    # so it may abort a step or two away from the unfused loop
+    f0 = make_gaussian_phase_space(0.0, 1.0, SIGMA, SIGMA, grid64)
+    cfg = EvolverConfig(dt=0.005, n_steps=400, record_every=400)
+    engines = ((liouville_evolve_xp, f0), (von_neumann_evolve, xp_to_Qq(f0)))
+    for engine, state in engines:
+        for v in (Constant(0.0), Quartic(0.25)):
+            fused = _abort_step(engine, state, v, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(evolvers, "_strang", _unfused_strang)
+                oracle = _abort_step(engine, state, v, cfg)
+            assert oracle > 1
+            assert abs(fused - oracle) <= 2
 
 
 def test_dt_guard_warning(grid64):
@@ -242,6 +264,107 @@ def test_mismatched_field_grid_rejected(grid64):
     cfg = EvolverConfig(dt=1e-3, n_steps=1)
     with pytest.raises(ConfigError):
         qq_liouville_evolve(f0, Quartic(1.0), field, cfg)
+
+
+# ---------------------------------------------------------------------------
+# fused kernel against the unfused Strang loop
+
+
+def _unfused_strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit):
+    """Reference ``_strang``: K½ V K½ per step, tail read after every full step."""
+    evolvers._check_dt_guard(cfg, f0.grid)
+    record_at = evolvers._record_steps(cfg)
+    times = [f0.time]
+    states: list = [f0]
+    diags = [diag(f0, boundary_fraction(work))]
+    for step in range(1, cfg.n_steps + 1):
+        if kin_half is not None:
+            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
+        phase(work, step)
+        if kin_half is not None:
+            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
+        tail = evolvers._check_tail(work, tail_limit, step)
+        if step in record_at:
+            t = f0.time + step * cfg.dt
+            state = snapshot(work, t)
+            times.append(t)
+            states.append(state)
+            diags.append(diag(state, tail))
+    return evolvers.Trajectory(times, states, diags)
+
+
+def _switched_linear():
+    # switches between midpoints of the dt = 0.004 steps below
+    return Linear(step_schedule([[0.0, 0.8], [0.031, -0.5], [0.071, 0.0]]), 0.2)
+
+
+def _run_engine(name, v, grid, cfg):
+    """Recorded arrays and scalar diagnostics of one stepper run."""
+    f0 = make_gaussian_phase_space(0.4, 0.3, SIGMA, SIGMA, grid)
+    rho = xp_to_Qq(f0)
+    nu = 0.5 * np.exp(-(grid.x**2))
+    if name == "xp":
+        traj = liouville_evolve_xp(f0, v, cfg)
+    elif name == "von_neumann":
+        traj = von_neumann_evolve(rho, v, cfg)
+    elif name == "qq":
+        traj = qq_liouville_evolve(rho, v, superoperator_field(v, grid), cfg)
+    elif name == "lindblad":
+        traj = lindblad_evolve(rho, v, nu, cfg)
+    else:
+        rep = ensemble_evolve(rho, v, NoiseSpec(nu, seed=4), 3, cfg, mode=name)
+        return rep.times, rep.mean_states + rep.stderr, []
+    return traj.times, traj.states, traj.diagnostics
+
+
+@pytest.mark.parametrize("v", [Quartic(0.25), _switched_linear()],
+                         ids=["quartic", "switched_linear"])
+@pytest.mark.parametrize(
+    "name", ["xp", "von_neumann", "qq", "lindblad", "quenched", "resampled"]
+)
+def test_fused_kernel_matches_unfused_oracle(grid64, monkeypatch, name, v):
+    # 7 does not divide 25: the final record comes off the cadence.  White
+    # noise factors are not smooth, and the kinetic steps ring them out
+    # to the edges, so the threshold only guards against a blow-up here.
+    cfg = EvolverConfig(dt=0.004, n_steps=25, record_every=7, tail_threshold=1e-2)
+    times, states, diags = _run_engine(name, v, grid64, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(evolvers, "_strang", _unfused_strang)
+        ref_times, ref_states, ref_diags = _run_engine(name, v, grid64, cfg)
+    assert times == ref_times
+    assert len(states) == len(ref_states)
+    for a, b in zip(states, ref_states):
+        a, b = getattr(a, "values", a), getattr(b, "values", b)
+        scale = np.abs(b).max()
+        assert np.abs(a - b).max() <= 1e-12 * scale
+    for d, ref in zip(diags, ref_diags):
+        assert d.keys() == ref.keys()
+        for key in d:
+            assert abs(d[key] - ref[key]) <= 1e-12 * max(abs(ref[key]), 1.0)
+
+
+def test_midpoint_phase_cache_equals_rebuild(grid64):
+    # the cached factor of a piecewise-constant potential equals a fresh
+    # build on every step, and is built once per piece
+    v = _switched_linear()
+    dt, n = 0.004, 25
+    extra = np.outer(grid64.x, np.ones(grid64.n_points)) * 0.1
+    builds = []
+
+    def build(vx):
+        builds.append(vx)
+        return np.exp(-0.5j * dt * (vx[:, None] - vx[None, :] + extra))
+
+    phase = evolvers._midpoint_phase(
+        lambda t: v.value(grid64.x, t), build, v.time_dependent, 0.0, dt
+    )
+    for step in range(1, n + 1):
+        work = np.ones((grid64.n_points,) * 2, dtype=complex)
+        phase(work, step)
+        vx = v.value(grid64.x, (step - 0.5) * dt)
+        fresh = np.exp(-0.5j * dt * (vx[:, None] - vx[None, :] + extra))
+        assert np.array_equal(work, fresh)
+    assert len(builds) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,7 @@ Poisson-void emptiness statistics.
 
 from types import ModuleType as _ModuleType
 
-from .causet import (
-    SprinkleRegion,
-    VoidEstimate,
-    sprinkle,
-    void_probability_analytic,
-    void_probability_mc,
-)
+from .causet import SprinkleRegion, VoidEstimate, void_probability_mc
 from .errors import (
     BoundaryContaminationError,
     ConfigError,
@@ -83,6 +77,7 @@ from .studies import (
     emit_outputs,
     run_decoherence_study,
     run_equivalence_study,
+    run_evolve_study,
     run_segment_checks,
     run_spectrum_study,
     run_void_study,

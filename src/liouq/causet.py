@@ -64,47 +64,9 @@ class VoidEstimate:
             raise DomainError("stderr cannot be negative")
 
 
-def void_probability_analytic(
-    dr: float, rho: float = 1.0, duration: float = 1.0
-) -> tuple:
-    """Bare estimate exp(-dr^3) and the exact Poisson law exp(-rho V4).
-
-    Returned as a pair so the dropped geometric constant stays visible.
-    """
-    region = SprinkleRegion(dr, duration=duration, rho=rho)
-    bare_value = float(np.exp(-(dr**3)))
-    exact_value = float(np.exp(-region.rho * region.volume4))
-    return bare_value, exact_value
-
-
 def _trial_stream(seed: int, trial: int) -> np.random.Generator:
     key = np.array([np.uint64(seed), np.uint64(trial)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sprinkle(region: SprinkleRegion, seed: int, trial: int) -> np.ndarray:
-    """One sprinkling: Poisson count, uniform positions, shape (m, 4).
-
-    Columns are the three spatial coordinates and the time coordinate.
-    Deterministic per (seed, trial); the count is drawn first, so
-    emptiness statistics agree with count-only sampling.
-    """
-    rng = _trial_stream(seed, trial)
-    count = int(rng.poisson(region.rho * region.volume4))
-    points = np.empty((count, 4))
-    if count == 0:
-        return points
-    if region.geometry == "ball_times_interval":
-        direction = rng.standard_normal((count, 3))
-        norms = np.linalg.norm(direction, axis=1, keepdims=True)
-        # a zero-norm draw has probability zero; guard the division anyway
-        norms[norms == 0.0] = 1.0
-        radii = region.dr * rng.random(count) ** (1.0 / 3.0)
-        points[:, :3] = direction / norms * radii[:, None]
-    else:
-        points[:, :3] = region.dr * rng.random((count, 3))
-    points[:, 3] = region.duration * rng.random(count)
-    return points
 
 
 def void_probability_mc(

@@ -1,24 +1,22 @@
 """Command-line interface.
 
-Subcommands: evolve, compare, decohere, void, segcheck, spectrum.
+Subcommands: evolve, compare, decohere, void, segcheck, spectrum.  Each
+one parses its arguments, runs one study from :mod:`liouq.studies`, has
+:func:`liouq.studies.emit_outputs` write its files, and prints the
+report.
 Exit codes: 0 all checks pass, 1 scientific failure, 2 configuration
-error, 3 runtime error.
+error, 3 runtime error (output files included).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time as _time
 from pathlib import Path
 
 from . import studies
 from .errors import ConfigError, LiouqError
-from .evolvers import liouville_evolve_xp, qq_liouville_evolve, von_neumann_evolve
-from .grids import save_state
-from .potentials import superoperator_field
-from .scenario import load_scenario
+from .scenario import Scenario, load_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,55 +83,7 @@ def _print_report(report) -> None:
           f"wall time {report.wall_time:.2f} s")
 
 
-def _run_evolve(args, outdir: Path) -> int:
-    scenario = load_scenario(args.scenario)
-    engine = args.engine or scenario["evolve.engine"]
-    cfg = scenario.build_evolver_config()
-    v = scenario.build_potential()
-    started = _time.perf_counter()
-    if engine == "classical":
-        traj = liouville_evolve_xp(scenario.build_initial_xp(), v, cfg)
-        drift_key, drift0 = "mass", traj.diagnostics[0]["mass"]
-        drift = max(abs(d["mass"] - drift0) for d in traj.diagnostics)
-        herm = 0.0
-    else:
-        f0 = scenario.build_initial_density()
-        if engine == "qq":
-            field = superoperator_field(v, scenario.build_grid())
-            traj = qq_liouville_evolve(f0, v, field, cfg)
-        else:
-            traj = von_neumann_evolve(f0, v, cfg)
-        drift_key = "trace"
-        drift0 = traj.diagnostics[0]["trace"].real
-        drift = max(abs(d["trace"].real - drift0) for d in traj.diagnostics)
-        herm = max(d["hermiticity_defect"] for d in traj.diagnostics)
-    wall = _time.perf_counter() - started
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for idx, state in enumerate(traj.states):
-        name = f"snapshot_{idx:04d}.csv"
-        save_state(state, outdir / name)
-        written.append(name)
-    summary = {
-        "engine": engine,
-        "scenario_hash": scenario.content_hash,
-        f"{drift_key}_drift": drift,
-        "hermiticity_drift": herm,
-        "wall_time_s": wall,
-        "times": traj.times,
-    }
-    (outdir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    written.append("summary.json")
-    (outdir / "index.txt").write_text("\n".join(sorted(written + ["index.txt"])) + "\n")
-    print(f"engine {engine}: {len(traj.states)} snapshots, "
-          f"{drift_key} drift {drift:.3e}, wall time {wall:.2f} s")
-    return 0
-
-
-def _resolve_outdir(args, scenario=None) -> Path:
+def _resolve_outdir(args, scenario) -> Path:
     # an explicit --out wins over the scenario's output.dir
     if args.out is not None:
         return Path(args.out)
@@ -142,51 +92,42 @@ def _resolve_outdir(args, scenario=None) -> Path:
     return Path("liouq_out")
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    outdir = _resolve_outdir(args)
+def _run_study(args, scenario):
+    if args.command == "evolve":
+        return studies.run_evolve_study(scenario, engine=args.engine)
+    if args.command == "compare":
+        return studies.run_equivalence_study(scenario)
+    if args.command == "decohere":
+        if args.seed is not None:
+            scenario = Scenario({**scenario.settings, "noise.seed": args.seed})
+        return studies.run_decoherence_study(
+            scenario, realizations=args.realizations, mode=args.mode
+        )
+    if args.command == "void":
+        return studies.run_void_study(
+            args.dr,
+            rho=args.rho,
+            duration=args.duration,
+            geometry=args.geometry,
+            trials=args.trials,
+            seed=args.seed if args.seed is not None else 0,
+        )
+    if args.command == "segcheck":
+        return studies.run_segment_checks(
+            scenario,
+            n_pairs=args.pairs,
+            seed=args.seed if args.seed is not None else 0,
+        )
+    return studies.run_spectrum_study(scenario)
 
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "evolve":
-            return _run_evolve(args, _resolve_outdir(args, load_scenario(args.scenario)))
-        if args.command == "compare":
-            scenario = load_scenario(args.scenario)
-            outdir = _resolve_outdir(args, scenario)
-            report, curves = studies.run_equivalence_study(scenario)
-        elif args.command == "decohere":
-            scenario = load_scenario(args.scenario)
-            outdir = _resolve_outdir(args, scenario)
-            if args.seed is not None:
-                settings = dict(scenario.settings)
-                settings["noise.seed"] = args.seed
-                scenario = type(scenario)(settings)
-            report, curves = studies.run_decoherence_study(
-                scenario, realizations=args.realizations, mode=args.mode
-            )
-        elif args.command == "void":
-            report, curves = studies.run_void_study(
-                args.dr,
-                rho=args.rho,
-                duration=args.duration,
-                geometry=args.geometry,
-                trials=args.trials,
-                seed=args.seed if args.seed is not None else 0,
-            )
-        elif args.command == "segcheck":
-            scenario = load_scenario(args.scenario)
-            outdir = _resolve_outdir(args, scenario)
-            report, curves = studies.run_segment_checks(
-                scenario,
-                n_pairs=args.pairs,
-                seed=args.seed if args.seed is not None else 0,
-            )
-        elif args.command == "spectrum":
-            scenario = load_scenario(args.scenario)
-            outdir = _resolve_outdir(args, scenario)
-            report, curves = studies.run_spectrum_study(scenario)
-        else:  # pragma: no cover - argparse enforces choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        # every subcommand but void reads a scenario
+        scenario = load_scenario(args.scenario) if args.command != "void" else None
+        report, curves = _run_study(args, scenario)
+        studies.emit_outputs(report, curves, _resolve_outdir(args, scenario))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -194,7 +135,6 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 
-    studies.emit_outputs(report, curves, outdir)
     _print_report(report)
     return 0 if report.passed else 1
 

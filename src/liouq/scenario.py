@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ConfigError
 from .evolvers import EvolverConfig
@@ -54,7 +53,6 @@ SCHEMA = {
     "potential.params.omega": ("float", None),
     "potential.params.lam": ("float", None),
     "potential.params.a_schedule": ("list", None),
-    "potential.params.b_schedule": ("list", None),
     "potential.coeffs": ("list", None),
     "potential.breakpoints": ("list", None),
     "potential.values": ("list", None),
@@ -190,8 +188,6 @@ class Scenario:
             b = self["potential.params.b"]
             if self["potential.params.a_schedule"] is not None:
                 a = step_schedule(self["potential.params.a_schedule"])
-            if self["potential.params.b_schedule"] is not None:
-                b = step_schedule(self["potential.params.b_schedule"])
             if a is None:
                 raise ConfigError(
                     "potential.params.a is required for potential.kind='linear'"
@@ -247,11 +243,8 @@ class Scenario:
             include_kinetic=self["evolve.include_kinetic"],
         )
 
-    def build_noise_spec(self, seed: Optional[int] = None) -> NoiseSpec:
-        return NoiseSpec(
-            nu=self["noise.nu0"],
-            seed=self["noise.seed"] if seed is None else seed,
-        )
+    def build_noise_spec(self) -> NoiseSpec:
+        return NoiseSpec(nu=self["noise.nu0"], seed=self["noise.seed"])
 
     @property
     def content_hash(self) -> str:

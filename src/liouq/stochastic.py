@@ -328,7 +328,7 @@ def decay_predict(f0: DensityGrid, nu, t: float) -> DensityGrid:
 
 
 def compare_ensemble_vs_lindblad(
-    report: EnsembleReport, traj: Trajectory, nu=None
+    report: EnsembleReport, traj: Trajectory, nu
 ) -> dict:
     """Per-time distances between the averaged ensemble and the stepper.
 
@@ -348,9 +348,7 @@ def compare_ensemble_vs_lindblad(
     worst_z = 0.0
     n_checked = 0
     n_exceed = 0
-    nu_max = None
-    if nu is not None:
-        nu_max = float(_profile(nu, report.mean_states[0].grid).max())
+    nu_max = float(_profile(nu, report.mean_states[0].grid).max())
     for idx, (t, other) in enumerate(zip(times, traj.states)):
         mean_state = report.mean_states[idx]
         if other.grid != mean_state.grid:
@@ -359,8 +357,7 @@ def compare_ensemble_vs_lindblad(
         grid = mean_state.grid
         maxnorm.append(float(diff.max()))
         l2.append(float(np.sqrt((diff**2).sum()) * grid.spacing))
-        # without a width profile every time is inside the gated window
-        if nu_max is not None and t * nu_max > 2.0:
+        if t * nu_max > 2.0:
             continue
         err = report.stderr[idx]
         floor = 1e-13 * max(float(np.abs(mean_state.values).max()), 1.0)

@@ -1,8 +1,10 @@
-"""Experiment pipelines: equivalence, divergence, decoherence, void studies.
+"""Experiment pipelines: single-engine runs, equivalence, divergence,
+decoherence, void, segment and spectrum studies.
 
 Each study returns a :class:`RunReport` whose checks carry the violated
-threshold and the observed value on failure, plus a curves dictionary
-that :func:`emit_outputs` turns into CSV/gnuplot files with an index.
+threshold and the observed value on failure, plus a curves dictionary.
+:func:`emit_outputs` is the one writer: it turns both into
+``summary.json``, CSV/gnuplot tables, state files and an index.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .causet import SprinkleRegion, void_probability_mc
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .evolvers import (
     dense_generator,
     liouville_evolve_xp,
@@ -75,6 +77,56 @@ def _pairwise_distance(a: np.ndarray, b: np.ndarray, spacing: float):
     return float(diff.max()), float(np.sqrt((diff**2).sum()) * spacing)
 
 
+def _drift_metrics(traj, engine: str) -> dict:
+    """Largest drift of the conserved quantities over a trajectory.
+
+    Mass for the classical engine; trace and Hermiticity defect for the
+    density-grid engines.
+    """
+    diags = traj.diagnostics
+    if engine == "classical":
+        mass0 = diags[0]["mass"]
+        return {"mass_drift": max(abs(d["mass"] - mass0) for d in diags)}
+    trace0 = diags[0]["trace"].real
+    return {
+        "trace_drift": max(abs(d["trace"].real - trace0) for d in diags),
+        "hermiticity_drift": max(d["hermiticity_defect"] for d in diags),
+    }
+
+
+def run_evolve_study(scenario: Scenario, engine=None):
+    """Run one engine and keep every recorded state; no checks.
+
+    ``engine`` defaults to the scenario's ``evolve.engine``.  The report
+    carries the engine, its conservation drift and the recorded times;
+    the curves hold the states as ``snapshot_NNNN`` snapshots.
+    """
+    t0 = _time.perf_counter()
+    engine = engine or scenario["evolve.engine"]
+    v = scenario.build_potential()
+    cfg = scenario.build_evolver_config()
+    if engine == "classical":
+        traj = liouville_evolve_xp(scenario.build_initial_xp(), v, cfg)
+    elif engine == "qq":
+        field_e = superoperator_field(v, scenario.build_grid())
+        traj = qq_liouville_evolve(scenario.build_initial_density(), v, field_e, cfg)
+    elif engine == "vonneumann":
+        traj = von_neumann_evolve(scenario.build_initial_density(), v, cfg)
+    else:
+        raise ConfigError(f"unknown engine {engine!r}")
+    report = RunReport(
+        study="evolve",
+        scenario_hash=scenario.content_hash,
+        seeds={},
+    )
+    report.metrics["engine"] = engine
+    report.metrics.update(_drift_metrics(traj, engine))
+    report.metrics["times"] = traj.times
+    report.wall_time = _time.perf_counter() - t0
+    snapshots = {f"snapshot_{idx:04d}": s for idx, s in enumerate(traj.states)}
+    return report, {"snapshots": snapshots}
+
+
 def run_equivalence_study(scenario: Scenario):
     """Run all three engines from one ensemble and measure their distances.
 
@@ -120,15 +172,9 @@ def run_equivalence_study(scenario: Scenario):
         scenario_hash=scenario.content_hash,
         seeds={},
     )
-    trace0 = quantum.diagnostics[0]["trace"].real
-    trace_drift = max(
-        abs(d["trace"].real - trace0) for d in quantum.diagnostics
-    )
-    herm_drift = max(d["hermiticity_defect"] for d in quantum.diagnostics)
-    report.metrics["trace_drift"] = trace_drift
-    report.metrics["hermiticity_drift"] = herm_drift
-    report.add_check("trace_drift", trace_drift, DRIFT_TOL)
-    report.add_check("hermiticity_drift", herm_drift, DRIFT_TOL)
+    for name, drift in _drift_metrics(quantum, "vonneumann").items():
+        report.metrics[name] = drift
+        report.add_check(name, drift, DRIFT_TOL)
 
     cv = distances["classical_vs_vonneumann"]["maxnorm"]
     if v.harmonic_order:
@@ -150,29 +196,26 @@ def run_equivalence_study(scenario: Scenario):
         "times": times,
         "distances": distances,
         "snapshots": {
-            "classical_final": classical.states[-1],
-            "vonneumann_final": quantum.states[-1],
-            "qq_final": coupled.states[-1],
+            "state_classical_final": classical.states[-1],
+            "state_vonneumann_final": quantum.states[-1],
+            "state_qq_final": coupled.states[-1],
         },
     }
     return report, curves
 
 
-def fit_decay_exponent(times, magnitudes, initial, sigmas=None):
+def fit_decay_exponent(times, magnitudes, initial, sigmas):
     """Least-squares slope of -log(|f|/|f0|) against t^2 through the origin.
 
-    ``sigmas`` are absolute uncertainties of the magnitudes; when given,
-    points are weighted by the implied log-scale variance, which keeps
-    late, fully decayed samples from dominating the fit.
+    ``sigmas`` are absolute uncertainties of the magnitudes; points are
+    weighted by the implied log-scale variance, which keeps late, fully
+    decayed samples from dominating the fit.
     """
     t2 = np.asarray(times, dtype=float) ** 2
     mags = np.asarray(magnitudes, dtype=float)
     y = -np.log(mags / initial)
-    if sigmas is None:
-        weights = np.ones_like(t2)
-    else:
-        rel = np.asarray(sigmas, dtype=float) / mags
-        weights = 1.0 / np.maximum(rel, 1e-12) ** 2
+    rel = np.asarray(sigmas, dtype=float) / mags
+    weights = 1.0 / np.maximum(rel, 1e-12) ** 2
     denom = float((weights * t2**2).sum())
     if denom == 0.0:
         raise DomainError("need at least one positive time to fit a decay")
@@ -257,7 +300,7 @@ def run_decoherence_study(scenario: Scenario, realizations=None, mode=None):
             continue
         rate = 0.5 * (nu_profile[i] ** 2 + nu_profile[j] ** 2)
         if quenched and ref > 0 and rate > 0 and hamiltonian_off:
-            fitted = fit_decay_exponent(times, mags, ref, sigmas=errs)
+            fitted = fit_decay_exponent(times, mags, ref, errs)
             ratio = fitted / rate
             report.metrics[f"probe_{idx}_fit_ratio"] = ratio
             report.add_check(
@@ -398,40 +441,33 @@ def emit_outputs(report: RunReport, curves: dict, outdir) -> list:
     }
     emit("summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
+    def table(stem: str, header: str, *columns):
+        # the CSV holds every column, the gnuplot file the first two
+        rows = list(zip(*columns))
+        emit(f"{stem}.csv", "\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        emit(f"{stem}.dat", "\n".join(f"{r[0]} {r[1]}" for r in rows) + "\n")
+
+    def floats(values):
+        return [_fmt(v) for v in values]
+
     times = curves.get("times")
     for name, dist in curves.get("distances", {}).items():
-        rows = ["t,maxnorm,l2"]
-        dat = []
-        for t, m, l in zip(times, dist["maxnorm"], dist["l2"]):
-            rows.append(f"{_fmt(t)},{_fmt(m)},{_fmt(l)}")
-            dat.append(f"{_fmt(t)} {_fmt(m)}")
-        emit(f"distance_{name}.csv", "\n".join(rows) + "\n")
-        emit(f"distance_{name}.dat", "\n".join(dat) + "\n")
+        table(f"distance_{name}", "t,maxnorm,l2",
+              floats(times), floats(dist["maxnorm"]), floats(dist["l2"]))
 
     for idx, probe in curves.get("decay_probes", {}).items():
-        rows = ["t,abs_f,predicted,stderr"]
-        dat = []
-        for t, a, p, e in zip(
-            probe["t"], probe["abs_f"], probe["predicted"], probe["stderr"]
-        ):
-            rows.append(f"{_fmt(t)},{_fmt(a)},{_fmt(p)},{_fmt(e)}")
-            dat.append(f"{_fmt(t)} {_fmt(a)}")
-        emit(f"decay_probe_{idx}.csv", "\n".join(rows) + "\n")
-        emit(f"decay_probe_{idx}.dat", "\n".join(dat) + "\n")
+        table(f"decay_probe_{idx}", "t,abs_f,predicted,stderr",
+              *(floats(probe[key]) for key in ("t", "abs_f", "predicted", "stderr")))
 
-    for name, state in curves.get("snapshots", {}).items():
-        path = outdir / f"state_{name}.csv"
-        save_state(state, path)
-        written.append(path.name)
+    # snapshot keys are file stems
+    for stem, state in curves.get("snapshots", {}).items():
+        save_state(state, outdir / f"{stem}.csv")
+        written.append(f"{stem}.csv")
 
     if "eigenvalues" in curves:
-        rows = ["index,eigenvalue"]
-        dat = []
-        for i, lam in enumerate(curves["eigenvalues"]):
-            rows.append(f"{i},{_fmt(lam)}")
-            dat.append(f"{i} {_fmt(lam)}")
-        emit("spectrum.csv", "\n".join(rows) + "\n")
-        emit("spectrum.dat", "\n".join(dat) + "\n")
+        eigenvalues = curves["eigenvalues"]
+        table("spectrum", "index,eigenvalue",
+              [str(i) for i in range(len(eigenvalues))], floats(eigenvalues))
 
     if "void" in curves:
         est = curves["void"]

@@ -23,7 +23,6 @@ def test_all_holds_no_module():
     "script, args",
     [
         ("void_experiment.py", ["--trials", "200", "--radii", "0.5"]),
-        ("convergence_experiment.py", ["--steps", "10", "20"]),
     ],
 )
 def test_script_runs(script, args):

@@ -9,6 +9,7 @@ from liouq import (
     emit_outputs,
     run_decoherence_study,
     run_equivalence_study,
+    run_evolve_study,
     run_segment_checks,
     run_spectrum_study,
     run_void_study,
@@ -118,6 +119,15 @@ def test_decoherence_resampled_mode_reports_without_law_checks():
     assert 0 in curves["decay_probes"]
 
 
+def test_evolve_and_equivalence_report_the_same_drift():
+    scenario = scenario_from_text(HARMONIC)
+    evolved, _ = run_evolve_study(scenario, engine="vonneumann")
+    compared, _ = run_equivalence_study(scenario)
+    for name in ("trace_drift", "hermiticity_drift"):
+        assert evolved.metrics[name] == compared.metrics[name]
+        assert compared.checks[name].observed == compared.metrics[name]
+
+
 def test_void_study():
     report, curves = run_void_study(0.5, trials=5000, seed=9)
     assert report.passed
@@ -196,14 +206,26 @@ def test_cli_compare_pass(tmp_path, capsys):
     assert "PASS overall" in out
 
 
-def test_cli_evolve_emits_snapshots(tmp_path):
+@pytest.mark.parametrize("engine", ["classical", "qq", "vonneumann"])
+def test_cli_evolve_emits_snapshots(tmp_path, engine):
+    out = tmp_path / "out"
     rc = main(["evolve", "--scenario", write(tmp_path, HARMONIC),
-               "--engine", "classical", "--out", str(tmp_path / "out")])
+               "--engine", engine, "--out", str(out)])
     assert rc == 0
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["engine"] == "classical"
-    assert summary["mass_drift"] <= 1e-9
-    assert (tmp_path / "out" / "snapshot_0000.csv").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    metrics = summary["metrics"]
+    assert metrics["engine"] == engine
+    assert summary["checks"] == {}
+    if engine == "classical":
+        drifts = ("mass_drift",)
+    else:
+        drifts = ("trace_drift", "hermiticity_drift")
+    for name in drifts:
+        assert metrics[name] <= 1e-9
+    snapshots = sorted(p.name for p in out.glob("snapshot_*.csv"))
+    assert snapshots == [f"snapshot_{i:04d}.csv" for i in range(len(metrics["times"]))]
+    index = (out / "index.txt").read_text().split()
+    assert set(snapshots) <= set(index)
 
 
 def test_cli_decohere(tmp_path):
@@ -255,6 +277,31 @@ def test_cli_runtime_error_exit_code(tmp_path):
     missing = str(tmp_path / "does_not_exist.cfg")
     rc = main(["compare", "--scenario", missing, "--out", str(tmp_path / "out")])
     assert rc == 3
+
+
+SHORT_RUNS = {
+    "evolve": ["--scenario", "harmonic.cfg"],
+    "compare": ["--scenario", "harmonic.cfg"],
+    "decohere": ["--scenario", "cat.cfg", "--realizations", "20"],
+    "void": ["--dr", "0.5", "--trials", "200"],
+    "segcheck": ["--scenario", "harmonic.cfg", "--pairs", "20"],
+    "spectrum": ["--scenario", "spec.cfg"],
+}
+
+
+@pytest.mark.parametrize("command", list(SHORT_RUNS))
+def test_cli_output_error_exit_code(tmp_path, capsys, command):
+    # the output directory cannot be made: its parent is a regular file
+    write(tmp_path, HARMONIC, "harmonic.cfg")
+    write(tmp_path, CAT, "cat.cfg")
+    write(tmp_path, "grid.n = 16\ngrid.L = 6.0\npotential.kind = harmonic\n"
+                    "potential.params.omega = 1.0\n", "spec.cfg")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in SHORT_RUNS[command]]
+    rc = main([command, *args, "--out", str(blocker / "out")])
+    assert rc == 3
+    assert "runtime error:" in capsys.readouterr().err
 
 
 def test_cli_scientific_fail_exit_code(tmp_path):

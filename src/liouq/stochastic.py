@@ -12,9 +12,9 @@ law is the stationary-phase limit of the dissipative stepper, whose
 decay coefficient grows linearly in time; stepping uses the midpoint
 value of that coefficient, which integrates the linear growth exactly.
 
-Realizations are drawn from counter-based streams keyed by
-(seed, realization index), so results do not depend on evaluation
-order.
+Realizations are drawn from the counter-based streams of
+:mod:`liouq.streams`, keyed by (seed, realization index), so results do
+not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .evolvers import (
 )
 from .grids import DensityGrid, GridSpec
 from .potentials import Potential
+from .streams import check_seed, stream
 
 _MODES = ("quenched", "resampled")
 _BLOCK = 128  # realizations per accumulation block of the closed form
@@ -58,8 +59,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.seed) < 0:
-            raise ConfigError("seed must be non-negative")
+        check_seed(self.seed)
 
     def nu_on_grid(self, grid: GridSpec) -> np.ndarray:
         if callable(self.nu):
@@ -84,14 +84,9 @@ class NoiseField:
     index: int
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed), np.uint64(index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _draws(profile: np.ndarray, seed: int, k: int):
     """Successive fields of stream ``(seed, k)``: independent cells, std profile."""
-    rng = _stream(seed, k)
+    rng = stream(seed, k)
     while True:
         yield profile * rng.standard_normal(profile.size)
 

@@ -33,6 +33,7 @@ from .stochastic import (
     ensemble_evolve,
     lindblad_evolve,
 )
+from .streams import stream
 
 EQUIVALENCE_TOL = 1e-6
 DIVERGENCE_MIN = 1e-3
@@ -362,7 +363,7 @@ def run_segment_checks(scenario: Scenario, n_pairs=1000, seed=0):
     v = scenario.build_potential()
     if not isinstance(v, PiecewiseLinear):
         v = linearize(v, grid.half_width / 25.0, (-grid.half_width, grid.half_width))
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = stream(seed)
     lo, hi = v.breakpoints[0], v.breakpoints[-1]
     worst = 0.0
     for _ in range(n_pairs):

@@ -1,11 +1,14 @@
 """Sprinkling regions and emptiness probabilities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouq import SprinkleRegion, VoidEstimate, void_probability_mc
+from liouq.causet import _BLOCK, _empty_trials, _philox_word0
 from liouq.errors import ConfigError, DomainError
 
 
@@ -95,3 +98,96 @@ def test_estimate_validation():
         VoidEstimate(1.2, 0.5, 0.5, 0.01, 100)
     with pytest.raises(DomainError):
         VoidEstimate(0.5, 0.5, 0.5, -0.01, 100)
+
+
+# The one-pass sampler against each trial's own generator.  Warnings are
+# errors here, so no uint64 overflow warning can leak from the Philox rounds.
+strict = pytest.mark.filterwarnings("error")
+
+
+def oracle_empty(seed, trials, mean_count):
+    """Per-trial emptiness from a fresh numpy generator per trial."""
+    return np.array([
+        np.random.Generator(
+            np.random.Philox(key=np.array([seed, t], dtype=np.uint64))
+        ).poisson(mean_count) == 0
+        for t in trials
+    ])
+
+
+def region_with_mean(mean_count, geometry):
+    region = SprinkleRegion(0.5, geometry=geometry)
+    return SprinkleRegion(0.5, geometry=geometry, rho=mean_count / region.volume4)
+
+
+@strict
+@pytest.mark.parametrize("seed, trial", [(7, 3), (0, 0), (12, 2**40), (2**64 - 1, 5),
+                                         (2**63 + 7, 2**64 - 1)])
+def test_philox_word0_matches_numpy(seed, trial):
+    word = _philox_word0(seed, np.array([trial], dtype=np.uint64))[0]
+    raw = np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)).random_raw()
+    assert int(word) == int(raw)
+
+
+@strict
+@pytest.mark.parametrize("seed", [0, 12, 2**64 - 1])
+@pytest.mark.parametrize("geometry", ["ball_times_interval", "box"])
+@pytest.mark.parametrize("mean_count", [0.52, 9.999999, 10.0, 14.1])
+def test_empty_trials_match_per_trial_generator(seed, geometry, mean_count):
+    region = region_with_mean(mean_count, geometry)
+    lam = region.rho * region.volume4
+    n = 1500
+    want = oracle_empty(seed, range(n), lam)
+    got = _empty_trials(seed, np.arange(n, dtype=np.uint64), lam)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, want)
+    est = void_probability_mc(region, n, seed)
+    assert est.empirical == int(want.sum()) / n
+
+
+@strict
+def test_blocks_cover_a_ragged_trial_count():
+    n = _BLOCK + 123
+    region = region_with_mean(0.52, "box")
+    est = void_probability_mc(region, n, seed=12)
+    want = oracle_empty(12, range(n), region.rho * region.volume4)
+    assert est.n_trials == n
+    assert est.empirical == int(want.sum()) / n
+
+
+@strict
+def test_first_uniform_equal_to_threshold_is_empty():
+    # numpy returns 0 when the first uniform equals exp(-lambda) exactly.
+    # The trial's word has its 11 dropped bits all set, so it is the
+    # largest word with that uniform: the last one that counts as empty.
+    words = _philox_word0(3, np.arange(2**16, dtype=np.uint64))
+    for trial in np.flatnonzero(words & np.uint64(0x7FF) == 0x7FF):
+        u = float(int(words[trial]) >> 11) * 2.0**-53
+        lam = -math.log(u)
+        for _ in range(8):
+            if math.exp(-lam) == u:
+                break
+            lam = math.nextafter(lam, math.inf if math.exp(-lam) > u else -math.inf)
+        if math.exp(-lam) == u and 0 < lam < 10:
+            break
+    else:
+        pytest.fail("no trial found whose first uniform is an exact exp(-lambda)")
+    assert oracle_empty(3, [trial], lam)[0]
+    assert _empty_trials(3, np.array([trial], dtype=np.uint64), lam)[0]
+    above = math.nextafter(lam, math.inf)
+    assert not oracle_empty(3, [trial], above)[0]
+    assert not _empty_trials(3, np.array([trial], dtype=np.uint64), above)[0]
+
+
+@strict
+def test_fallback_starts_at_mean_ten():
+    # at lambda = 10 numpy samples by rejection (PTRS): trials whose first
+    # uniform is below exp(-10) are not empty there
+    words = _philox_word0(0, np.arange(200_000, dtype=np.uint64))
+    uniform = (words >> 11).astype(np.float64) * 2.0**-53
+    trials = np.flatnonzero(uniform <= math.exp(-10.0)).astype(np.uint64)
+    assert trials.size
+    want = oracle_empty(0, trials, 10.0)
+    assert not want.any()
+    np.testing.assert_array_equal(_empty_trials(0, trials, 10.0), want)
+

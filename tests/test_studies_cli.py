@@ -304,6 +304,18 @@ def test_cli_output_error_exit_code(tmp_path, capsys, command):
     assert "runtime error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["void", "segcheck", "decohere"])
+def test_cli_seed_out_of_range(tmp_path, capsys, command, seed):
+    # a seed is one 64-bit Philox key word
+    write(tmp_path, HARMONIC, "harmonic.cfg")
+    write(tmp_path, CAT, "cat.cfg")
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in SHORT_RUNS[command]]
+    rc = main([command, *args, f"--seed={seed}", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
 def test_cli_scientific_fail_exit_code(tmp_path):
     # quartic run too short to reach the divergence window: the
     # monotone-growth check cannot be satisfied and the study fails

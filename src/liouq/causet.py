@@ -38,6 +38,8 @@ from .streams import check_seed, stream
 _GEOMETRIES = ("ball_times_interval", "box")
 _BLOCK = 8192  # trials per vectorized block: bounds the uint64 buffers
 _PTRS_LAM = 10.0  # numpy's Poisson sampler leaves multiplication here
+# numpy's Poisson sampler refuses a larger mean ("lam value too large")
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments
 _U64 = 2**64 - 1
@@ -180,11 +182,17 @@ def void_probability_mc(
     of trials at once from each stream's first uniform (see the module
     docstring), from 10 on by each trial's own generator.  Either way
     every trial's outcome is the one its generator's ``poisson`` gives.
+    A mean above the sampler's limit raises ``DomainError``.
     """
     if n_trials < 100:
         raise DomainError("need at least 100 trials")
     seed = check_seed(seed)
     mean_count = region.rho * region.volume4
+    if not mean_count <= _POISSON_LAM_MAX:
+        raise DomainError(
+            f"mean count lambda = rho V4 = {mean_count:.3e} exceeds the "
+            f"Poisson sampler's limit {_POISSON_LAM_MAX:.3e}"
+        )
     # one set of buffers for every block, so the blocks allocate nothing
     offsets = np.arange(_BLOCK, dtype=np.uint64)
     trials = np.empty(_BLOCK, dtype=np.uint64)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouq import SprinkleRegion, VoidEstimate, void_probability_mc
-from liouq.causet import _BLOCK, _empty_trials, _philox_word0
+from liouq.causet import _BLOCK, _POISSON_LAM_MAX, _empty_trials, _philox_word0
 from liouq.errors import ConfigError, DomainError
 
 
@@ -91,6 +91,13 @@ def test_mc_large_radius_never_empty():
 def test_mc_requires_enough_trials():
     with pytest.raises(DomainError):
         void_probability_mc(SprinkleRegion(1.0), 50, seed=0)
+
+
+def test_mc_rejects_mean_count_beyond_poisson_limit():
+    limit = _POISSON_LAM_MAX / SprinkleRegion(1.0).volume4
+    assert void_probability_mc(SprinkleRegion(1.0, rho=limit), 100, seed=0).empirical == 0.0
+    with pytest.raises(DomainError, match="lambda"):
+        void_probability_mc(SprinkleRegion(1.0, rho=2.0 * limit), 100, seed=0)
 
 
 def test_estimate_validation():

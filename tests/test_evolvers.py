@@ -368,6 +368,145 @@ def test_midpoint_phase_cache_equals_rebuild(grid64):
 
 
 # ---------------------------------------------------------------------------
+# dense propagator against the stepped kernel
+
+
+def _stepped(f0, v, extra, cfg):
+    """The stepped kernel on an input the dense path may take over."""
+    phase = evolvers._potential_phase(f0, v, cfg, extra)
+    return evolvers._strang_density(f0, cfg, phase, cfg.tail_threshold)
+
+
+def _spy_strang(monkeypatch) -> list:
+    """Record the config of every ``_strang`` call."""
+    calls, real = [], evolvers._strang
+
+    def spy(f0, work, cfg, *rest):
+        calls.append(cfg)
+        return real(f0, work, cfg, *rest)
+
+    monkeypatch.setattr(evolvers, "_strang", spy)
+    return calls
+
+
+def _assert_same_trajectory(traj, ref):
+    assert traj.times == ref.times
+    assert len(traj.states) == len(ref.states)
+    for a, b in zip(traj.states, ref.states):
+        assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(b.values).max()
+    for d, r in zip(traj.diagnostics, ref.diagnostics):
+        assert d.keys() == r.keys()
+        for key in d:
+            assert abs(d[key] - r[key]) <= 1e-12 * max(abs(r[key]), 1.0)
+
+
+def _packet(grid):
+    return xp_to_Qq(make_gaussian_phase_space(0.4, 0.3, SIGMA, SIGMA, grid))
+
+
+@pytest.mark.parametrize(
+    "n_steps,record_every",
+    [(100, 100), (200, 70), (90, 7), (20, 1)],
+    ids=["steps_off_checkpoints", "records_off_checkpoints", "ragged_short", "every_step"],
+)
+@pytest.mark.parametrize(
+    "name,v",
+    [
+        ("von_neumann", Harmonic(1.0)),
+        ("von_neumann", Quartic(0.25)),
+        ("von_neumann", Constant(0.0)),
+        ("qq", Harmonic(1.0)),
+    ],
+    ids=["vn_harmonic", "vn_quartic", "vn_constant", "qq_harmonic"],
+)
+def test_dense_path_matches_stepped_kernel(grid64, monkeypatch, name, v,
+                                           n_steps, record_every):
+    cfg = EvolverConfig(dt=0.004, n_steps=n_steps, record_every=record_every,
+                        tail_threshold=1e-6)
+    rho = _packet(grid64)
+    field = superoperator_field(v, grid64)
+    ref = _stepped(rho, v, field.values if name == "qq" else None, cfg)
+    calls = _spy_strang(monkeypatch)
+    if name == "qq":
+        traj = qq_liouville_evolve(rho, v, field, cfg)
+    else:
+        traj = von_neumann_evolve(rho, v, cfg)
+    if record_every >= evolvers._MIN_DENSE_GAP:
+        assert calls == []
+    else:  # a record every step is left to the kernel; check the path anyway
+        assert len(calls) == 1
+        _assert_same_trajectory(traj, ref)
+        traj = evolvers._dense_density(rho, v, cfg)
+    _assert_same_trajectory(traj, ref)
+
+
+@pytest.mark.parametrize(
+    "case", ["time_dependent", "coupling_field", "kinetic_off", "quenched_noise"]
+)
+def test_stepped_inputs_keep_the_kernel(grid64, monkeypatch, case):
+    # records far apart, so only the input can keep these off the dense path
+    cfg = EvolverConfig(dt=0.004, n_steps=40, record_every=20, tail_threshold=1e-2,
+                        include_kinetic=case != "kinetic_off")
+    rho = _packet(grid64)
+    calls = _spy_strang(monkeypatch)
+    if case == "time_dependent":
+        von_neumann_evolve(rho, _switched_linear(), cfg)
+    elif case == "coupling_field":
+        v = Quartic(0.25)
+        qq_liouville_evolve(rho, v, superoperator_field(v, grid64), cfg)
+    elif case == "kinetic_off":
+        von_neumann_evolve(rho, Harmonic(1.0), cfg)
+    else:
+        ensemble_evolve(rho, Harmonic(1.0), NoiseSpec(0.5, seed=4), 2, cfg,
+                        mode="quenched")
+    assert len(calls) == (2 if case == "quenched_noise" else 1)
+    assert all(c.n_steps == cfg.n_steps for c in calls)
+
+
+@pytest.mark.parametrize("record_every", [400, 30])
+@pytest.mark.parametrize("v", [Constant(0.0), Quartic(0.25)], ids=["constant", "quartic"])
+def test_dense_abort_step_is_the_stepped_one(grid64, monkeypatch, v, record_every):
+    # the packet reaches the edge; the stretch from the last good stop to
+    # the next record is replayed, and the abort names the kernel's step
+    f0 = xp_to_Qq(make_gaussian_phase_space(0.0, 1.0, SIGMA, SIGMA, grid64))
+    cfg = EvolverConfig(dt=0.005, n_steps=400, record_every=record_every)
+    stepped = _abort_step(lambda f, v, c: _stepped(f, v, None, c), f0, v, cfg)
+    calls = _spy_strang(monkeypatch)
+    dense = _abort_step(von_neumann_evolve, f0, v, cfg)
+    assert stepped > 1
+    assert dense == stepped
+    assert len(calls) == 1
+
+
+def test_dense_replay_without_abort_resumes(grid64, monkeypatch):
+    # a false alarm at the first checkpoint: the kernel steps that stretch
+    # to the next record without aborting, and the run goes on dense.  dt
+    # is above the guard, which warns once, not again for the replay.
+    cfg = EvolverConfig(dt=0.008, n_steps=150, record_every=100, tail_threshold=1e-3)
+    rho, v = _packet(grid64), Harmonic(1.0)
+    with pytest.warns(lq.TimeStepWarning):
+        ref = _stepped(rho, v, None, cfg)
+    real, reads = evolvers.boundary_fraction, []
+
+    def alarm_at_first_checkpoint(values):
+        reads.append(values)
+        return 1.0 if len(reads) == 2 else real(values)
+
+    monkeypatch.setattr(evolvers, "boundary_fraction", alarm_at_first_checkpoint)
+    calls = _spy_strang(monkeypatch)
+    with pytest.warns(lq.TimeStepWarning) as record:
+        traj = von_neumann_evolve(rho, v, cfg)
+    assert len(record) == 1 and record[0].filename == __file__
+    assert [c.n_steps for c in calls] == [100]
+    _assert_same_trajectory(traj, ref)
+
+
+def test_dense_stops_checkpoint_each_record_interval():
+    cfg = EvolverConfig(dt=0.01, n_steps=150, record_every=70)
+    assert evolvers._dense_stops(cfg) == [32, 64, 70, 102, 134, 140, 150]
+
+
+# ---------------------------------------------------------------------------
 # dense generator
 
 

@@ -244,6 +244,15 @@ def test_cli_void(tmp_path):
     assert header == "dr,rho,trials,bare,exact,empirical,stderr"
 
 
+def test_cli_void_mean_count_beyond_poisson_limit(tmp_path, capsys):
+    # lambda = rho V4 ~ 1.1e20 is more than numpy's Poisson sampler accepts
+    rc = main(["void", "--dr", "3e6", "--trials", "100", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "runtime error: mean count lambda" in err
+    assert "Traceback" not in err
+
+
 def test_cli_segcheck_and_spectrum(tmp_path):
     seg = write(tmp_path, "grid.n = 64\ngrid.L = 8.0\npotential.kind = quartic\n"
                           "potential.params.lam = 1.0\npotential.delta = 0.25\n",

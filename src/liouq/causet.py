@@ -58,11 +58,11 @@ class SprinkleRegion:
 
     def __post_init__(self):
         if not self.dr > 0:
-            raise DomainError("dr must be positive")
+            raise ConfigError("dr must be positive")
         if not self.duration > 0:
-            raise DomainError("duration must be positive")
+            raise ConfigError("duration must be positive")
         if not self.rho > 0:
-            raise DomainError("rho must be positive")
+            raise ConfigError("rho must be positive")
         if self.geometry not in _GEOMETRIES:
             raise ConfigError(f"unknown geometry {self.geometry!r}")
 
@@ -182,10 +182,11 @@ def void_probability_mc(
     of trials at once from each stream's first uniform (see the module
     docstring), from 10 on by each trial's own generator.  Either way
     every trial's outcome is the one its generator's ``poisson`` gives.
-    A mean above the sampler's limit raises ``DomainError``.
+    Fewer than 100 trials raise ``ConfigError``; a mean above the
+    sampler's limit raises ``DomainError``.
     """
     if n_trials < 100:
-        raise DomainError("need at least 100 trials")
+        raise ConfigError("need at least 100 trials")
     seed = check_seed(seed)
     mean_count = region.rho * region.volume4
     if not mean_count <= _POISSON_LAM_MAX:

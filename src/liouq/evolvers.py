@@ -38,14 +38,16 @@ A density-grid run whose step is one fixed unitary, rho -> U rho U^H
 (the kinetic term on, a static V and no extra term, as for
 ``von_neumann_evolve`` with a static V and ``qq_liouville_evolve`` with
 E identically zero), and whose records are at least two steps apart,
-skips the FFTs: ``_dense_density`` builds U^m once per record gap by
-repeated squaring and jumps from record to record, with a checkpoint
-every ``_CHECKPOINT`` steps in between.  It reads the tail on the
-full-step state at checkpoints and records only, and replays a stretch
-that exceeds the threshold with ``_strang`` to name the abort step the
-stepped kernel names; an excursion between checkpoints that falls back
-below the threshold goes unseen.  The states agree with the stepped
-kernel's to rounding (about 1e-12 of the peak after 6000 steps).
+skips the FFTs: ``_dense_density`` builds U^m once per record gap and
+jumps from record to record, with a checkpoint every ``_CHECKPOINT``
+steps in between.  It reads the tail on the full-step state at
+checkpoints and records only; an excursion between checkpoints that
+falls back below the threshold goes unseen.  The dense path either
+finishes the run or, at the first checkpoint or record above the
+threshold, hands the whole run to ``_strang``, so every abort, its step
+and the one ``TimeStepWarning`` come from the stepped kernel alone.  The
+states agree with the stepped kernel's to rounding (about 1e-12 of the
+peak after 6000 steps).
 
 Every unitary factor has unit modulus: the 2-norm is conserved exactly,
 the trace of the density grid is conserved because the spectral factor
@@ -56,10 +58,9 @@ of both factors.
 
 from __future__ import annotations
 
-import functools
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -329,14 +330,17 @@ def _evolve_density(
     extra: np.ndarray | None,
     cfg: EvolverConfig,
 ) -> Trajectory:
-    # a static step rho -> U rho U^H, with records far enough apart to pay
+    # a static step rho -> U rho U^H, with records far enough apart to pay;
+    # a tail alarm on the dense path steps the whole run instead
     if (
         cfg.include_kinetic
         and not v.time_dependent
         and not np.any(extra)
         and min(cfg.record_every, cfg.n_steps) >= _MIN_DENSE_GAP
     ):
-        return _dense_density(f0, v, cfg)
+        traj = _dense_density(f0, v, cfg)
+        if traj is not None:
+            return traj
     phase = _potential_phase(f0, v, cfg, extra)
     return _strang_density(f0, cfg, phase, cfg.tail_threshold)
 
@@ -363,33 +367,25 @@ def _dense_stops(cfg: EvolverConfig) -> list:
     return stops
 
 
-def _dense_density(f0: DensityGrid, v: Potential, cfg: EvolverConfig) -> Trajectory:
+def _dense_density(
+    f0: DensityGrid, v: Potential, cfg: EvolverConfig
+) -> Trajectory | None:
     """``_strang_density`` for a static V and no extra term, as rho -> U^m rho U^mH.
 
     One Strang step is the n x n unitary U = K½ D K½, with
     K½ = F^-1 diag(exp(-i dt k^2 / 4)) F and D = diag(exp(-i dt v)), so m
-    steps are U^m, built by repeated squaring and cached per gap m.  The
-    state jumps from stop to stop (``_dense_stops``) and the tail is read
-    on the full-step state there.  A stop above ``tail_threshold`` is
-    replayed by ``_strang`` from the last good stop to the next record,
-    so an abort names the step the stepped kernel names; an excursion
-    between checkpoints that falls back below the limit goes unseen.
+    steps are U^m, cached per gap m.  The state jumps from stop to stop
+    (``_dense_stops``) and the tail is read on the full-step state there.
+    A stop above ``tail_threshold`` returns None: the caller then steps
+    the whole run with ``_strang``, which alone names an abort step.  An
+    excursion between checkpoints that falls back below the limit goes
+    unseen.
     """
-    _check_dt_guard(cfg, f0.grid)
     grid, dt = f0.grid, cfg.dt
     kin_half = _spectral_operator(grid, lambda k: np.exp(-0.25j * dt * k**2))
     potential = np.exp(-1j * dt * v.value(grid.x, f0.time + 0.5 * dt))
-    squares = [kin_half @ (potential[:, None] * kin_half)]
+    step = kin_half @ (potential[:, None] * kin_half)
     powers: dict = {}
-
-    def power(m: int) -> np.ndarray:
-        if m not in powers:
-            while 1 << len(squares) <= m:
-                squares.append(squares[-1] @ squares[-1])
-            factors = [sq for j, sq in enumerate(squares) if m >> j & 1]
-            powers[m] = functools.reduce(np.matmul, factors)
-        return powers[m]
-
     record_at = _record_steps(cfg)
     work = f0.values
     times = [f0.time]
@@ -397,43 +393,21 @@ def _dense_density(f0: DensityGrid, v: Potential, cfg: EvolverConfig) -> Traject
     diags = [_density_diag(f0, boundary_fraction(work))]
     done = 0
     for stop in _dense_stops(cfg):
-        if stop <= done:
-            continue  # covered by a replay
-        um = power(stop - done)
-        nxt = um @ work @ um.conj().T
-        tail = boundary_fraction(nxt)
+        if stop - done not in powers:
+            powers[stop - done] = np.linalg.matrix_power(step, stop - done)
+        um = powers[stop - done]
+        work, done = um @ work @ um.conj().T, stop
+        tail = boundary_fraction(work)
         if tail > cfg.tail_threshold:
-            stop = min(r for r in record_at if r >= stop)
-            nxt, tail = _replay(f0, v, cfg, work, done, stop)
-        work, done = nxt, stop
+            return None
         if stop in record_at:
             t = f0.time + stop * dt
             state = DensityGrid(grid, work, t)
             times.append(t)
             states.append(state)
             diags.append(_density_diag(state, tail))
+    _check_dt_guard(cfg, grid)
     return Trajectory(times, states, diags)
-
-
-def _replay(f0, v, cfg, work, done: int, stop: int):
-    """Step from step ``done`` (state ``work``) to the record ``stop`` with ``_strang``.
-
-    Raises the stepped kernel's abort with the global step number, or
-    returns the state at ``stop`` and its tail.
-    """
-    sub = replace(cfg, n_steps=stop - done, record_every=stop - done)
-    start = DensityGrid(f0.grid, work, f0.time + done * cfg.dt)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TimeStepWarning)  # warned once already
-        try:
-            traj = _strang_density(
-                start, sub, _potential_phase(start, v, sub), cfg.tail_threshold
-            )
-        except BoundaryContaminationError as err:
-            raise BoundaryContaminationError(
-                done + err.step, err.fraction, err.threshold
-            ) from None
-    return traj.states[-1].values, traj.diagnostics[-1]["boundary_fraction"]
 
 
 def _require_hermitian(f0: DensityGrid) -> None:

@@ -24,22 +24,16 @@ from typing import List
 
 import numpy as np
 
-from .errors import (
-    BoundaryContaminationError,
-    ConfigError,
-    DomainError,
-    RealizationError,
-)
+from .errors import ConfigError, DomainError, RealizationError
 from .evolvers import (
     EvolverConfig,
     Trajectory,
-    _check_tail,
     _evolve_density,
     _potential_phase,
     _record_steps,
     _strang_density,
 )
-from .grids import DensityGrid, GridSpec
+from .grids import DensityGrid, GridSpec, boundary_fraction
 from .potentials import Potential
 from .streams import check_seed, stream
 
@@ -177,17 +171,17 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     record and block.  M2 is taken about the noise-free value w = 1,
     using |w_k - 1| = |b_k(Q) - b_k(q)|, so its rounding error scales
     with the spread instead of with |f0|^2.
+
+    Returns None, for the caller to step every realization instead, when
+    f0's tail exceeds the limit (unit-modulus factors keep |f| elementwise,
+    so the monitor would read that at every step) or a phase is not finite.
     """
     grid = f0.grid
     n = grid.n_points
     vx = V.value(grid.x)
     profile = spec.nu_on_grid(grid)
-    try:
-        # unit-modulus factors keep |f| elementwise, so the tail monitor
-        # reads at every step what it reads on f0
-        _check_tail(f0.values, cfg.tail_threshold, 1)
-    except BoundaryContaminationError as exc:
-        raise RealizationError(0, exc) from exc
+    if boundary_fraction(f0.values) > cfg.tail_threshold:
+        return None
     steps = sorted(_record_steps(cfg))
     pair = np.zeros((len(steps), n, n), dtype=complex)
     first = np.zeros((len(steps), n), dtype=complex)
@@ -195,10 +189,8 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     for start in range(0, M, _BLOCK):
         ks = range(start, min(start + _BLOCK, M))
         dv = np.array([next(_draws(profile, spec.seed, k)) for k in ks])
-        bad = ~np.all(np.isfinite(vx + dv), axis=1)
-        if bad.any():
-            exc = DomainError("potential must be finite")
-            raise RealizationError(ks[int(np.argmax(bad))], exc) from exc
+        if not np.all(np.isfinite(vx + dv)):
+            return None
         for r, step in enumerate(steps):
             theta = (step * cfg.dt) * dv
             # exp(-i theta) - 1 without cancellation at small theta
@@ -248,16 +240,20 @@ def ensemble_evolve(
     vanishes on the diagonal, which therefore keeps f0's values with
     zero error.  The realizations are accumulated in fixed-size blocks,
     so memory does not grow with M.  Kinetic, time-dependent and
-    resampled runs are stepped realization by realization.
+    resampled runs are stepped realization by realization, and so is a
+    closed-form run whose initial tail is over the limit or whose phase
+    is not finite: the stepper alone raises ``RealizationError``.
     """
     if M < 2:
-        raise DomainError("need M >= 2 realizations for error bars")
+        raise ConfigError("need M >= 2 realizations for error bars")
     if mode not in _MODES:
         raise ConfigError(f"unknown ensemble mode {mode!r}")
+    moments = None
     if mode == "quenched" and not cfg.include_kinetic and not V.time_dependent:
-        times, mean, m2 = _closed_form_moments(f0, V, spec, M, cfg)
-    else:
-        times, mean, m2 = _stepped_moments(f0, V, spec, M, cfg, mode)
+        moments = _closed_form_moments(f0, V, spec, M, cfg)
+    if moments is None:
+        moments = _stepped_moments(f0, V, spec, M, cfg, mode)
+    times, mean, m2 = moments
     stderr = np.sqrt(m2 / ((M - 1) * M))
     return EnsembleReport(
         n_realizations=M,

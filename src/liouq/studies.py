@@ -10,7 +10,6 @@ threshold and the observed value on failure, plus a curves dictionary.
 from __future__ import annotations
 
 import json
-import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,7 +56,6 @@ class RunReport:
     seeds: dict
     metrics: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
-    wall_time: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -102,7 +100,6 @@ def run_evolve_study(scenario: Scenario, engine=None):
     carries the engine, its conservation drift and the recorded times;
     the curves hold the states as ``snapshot_NNNN`` snapshots.
     """
-    t0 = _time.perf_counter()
     engine = engine or scenario["evolve.engine"]
     v = scenario.build_potential()
     cfg = scenario.build_evolver_config()
@@ -123,7 +120,6 @@ def run_evolve_study(scenario: Scenario, engine=None):
     report.metrics["engine"] = engine
     report.metrics.update(_drift_metrics(traj, engine))
     report.metrics["times"] = traj.times
-    report.wall_time = _time.perf_counter() - t0
     snapshots = {f"snapshot_{idx:04d}": s for idx, s in enumerate(traj.states)}
     return report, {"snapshots": snapshots}
 
@@ -136,7 +132,6 @@ def run_equivalence_study(scenario: Scenario):
     are expected to diverge and the report records the divergence
     instead.
     """
-    t0 = _time.perf_counter()
     grid = scenario.build_grid()
     v = scenario.build_potential()
     cfg = scenario.build_evolver_config()
@@ -192,7 +187,6 @@ def run_equivalence_study(scenario: Scenario):
         report.add_check("divergence_monotone", monotone, 1.0, ">=")
         report.metrics["final_distance"] = cv[-1]
 
-    report.wall_time = _time.perf_counter() - t0
     curves = {
         "times": times,
         "distances": distances,
@@ -238,7 +232,6 @@ def _default_probes(scenario: Scenario, grid):
 
 def run_decoherence_study(scenario: Scenario, realizations=None, mode=None):
     """Noisy-ensemble decay versus the dissipative stepper and closed form."""
-    t0 = _time.perf_counter()
     grid = scenario.build_grid()
     v = scenario.build_potential() if scenario["potential.kind"] else None
     if v is None:
@@ -317,7 +310,6 @@ def run_decoherence_study(scenario: Scenario, realizations=None, mode=None):
                 1e-8,
             )
 
-    report.wall_time = _time.perf_counter() - t0
     curves = {"decay_probes": probe_curves, "comparison": comparison}
     return report, curves
 
@@ -325,7 +317,6 @@ def run_decoherence_study(scenario: Scenario, realizations=None, mode=None):
 def run_void_study(dr, rho=1.0, duration=1.0, geometry="ball_times_interval",
                    trials=100_000, seed=0):
     """Empirical emptiness against both analytic forms."""
-    t0 = _time.perf_counter()
     region = SprinkleRegion(dr, duration=duration, geometry=geometry, rho=rho)
     estimate = void_probability_mc(region, trials, seed)
     report = RunReport(
@@ -351,14 +342,12 @@ def run_void_study(dr, rho=1.0, duration=1.0, geometry="ball_times_interval",
         abs(estimate.empirical - estimate.analytic_exact),
         tol,
     )
-    report.wall_time = _time.perf_counter() - t0
     curves = {"void": estimate, "region": region}
     return report, curves
 
 
 def run_segment_checks(scenario: Scenario, n_pairs=1000, seed=0):
     """Random-pair identities for the piecewise-linear machinery."""
-    t0 = _time.perf_counter()
     grid = scenario.build_grid()
     v = scenario.build_potential()
     if not isinstance(v, PiecewiseLinear):
@@ -381,13 +370,11 @@ def run_segment_checks(scenario: Scenario, n_pairs=1000, seed=0):
     report.metrics["n_pairs"] = n_pairs
     report.add_check("segment_sum_identity", worst, SEGMENT_TOL)
     report.add_check("field_antisymmetry", antisym, 0.0)
-    report.wall_time = _time.perf_counter() - t0
     return report, {}
 
 
 def run_spectrum_study(scenario: Scenario):
     """Dense-generator eigenvalues and their symmetry defect."""
-    t0 = _time.perf_counter()
     grid = scenario.build_grid()
     v = scenario.build_potential()
     _, eigenvalues = dense_generator(v, grid)
@@ -400,7 +387,6 @@ def run_spectrum_study(scenario: Scenario):
     )
     report.metrics["n_eigenvalues"] = int(eigenvalues.size)
     report.add_check("spectrum_symmetry", defect, 1e-8)
-    report.wall_time = _time.perf_counter() - t0
     return report, {"eigenvalues": eigenvalues}
 
 
@@ -428,7 +414,6 @@ def emit_outputs(report: RunReport, curves: dict, outdir) -> list:
         "scenario_hash": report.scenario_hash,
         "seeds": report.seeds,
         "passed": report.passed,
-        "wall_time_s": report.wall_time,
         "metrics": {k: _json_safe(v) for k, v in report.metrics.items()},
         "checks": {
             name: {

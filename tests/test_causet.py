@@ -53,11 +53,11 @@ def test_analytic_monotone_in_radius_and_density(dr, rho):
 
 
 def test_region_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         SprinkleRegion(0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         SprinkleRegion(1.0, rho=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         SprinkleRegion(1.0, duration=-1.0)
     with pytest.raises(ConfigError):
         SprinkleRegion(1.0, geometry="cylinder")
@@ -89,7 +89,7 @@ def test_mc_large_radius_never_empty():
 
 
 def test_mc_requires_enough_trials():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         void_probability_mc(SprinkleRegion(1.0), 50, seed=0)
 
 

@@ -466,8 +466,8 @@ def test_stepped_inputs_keep_the_kernel(grid64, monkeypatch, case):
 @pytest.mark.parametrize("record_every", [400, 30])
 @pytest.mark.parametrize("v", [Constant(0.0), Quartic(0.25)], ids=["constant", "quartic"])
 def test_dense_abort_step_is_the_stepped_one(grid64, monkeypatch, v, record_every):
-    # the packet reaches the edge; the stretch from the last good stop to
-    # the next record is replayed, and the abort names the kernel's step
+    # the packet reaches the edge; the dense path hands the whole run to
+    # the kernel, and the abort names the kernel's step
     f0 = xp_to_Qq(make_gaussian_phase_space(0.0, 1.0, SIGMA, SIGMA, grid64))
     cfg = EvolverConfig(dt=0.005, n_steps=400, record_every=record_every)
     stepped = _abort_step(lambda f, v, c: _stepped(f, v, None, c), f0, v, cfg)
@@ -478,10 +478,10 @@ def test_dense_abort_step_is_the_stepped_one(grid64, monkeypatch, v, record_ever
     assert len(calls) == 1
 
 
-def test_dense_replay_without_abort_resumes(grid64, monkeypatch):
-    # a false alarm at the first checkpoint: the kernel steps that stretch
-    # to the next record without aborting, and the run goes on dense.  dt
-    # is above the guard, which warns once, not again for the replay.
+def test_dense_false_alarm_runs_the_kernel(grid64, monkeypatch):
+    # a false alarm at the first checkpoint: the dense path gives up and
+    # the kernel steps the whole run from f0.  dt is above the guard, which
+    # warns once, from the kernel.
     cfg = EvolverConfig(dt=0.008, n_steps=150, record_every=100, tail_threshold=1e-3)
     rho, v = _packet(grid64), Harmonic(1.0)
     with pytest.warns(lq.TimeStepWarning):
@@ -497,7 +497,7 @@ def test_dense_replay_without_abort_resumes(grid64, monkeypatch):
     with pytest.warns(lq.TimeStepWarning) as record:
         traj = von_neumann_evolve(rho, v, cfg)
     assert len(record) == 1 and record[0].filename == __file__
-    assert [c.n_steps for c in calls] == [100]
+    assert [c.n_steps for c in calls] == [150]
     _assert_same_trajectory(traj, ref)
 
 

@@ -188,9 +188,34 @@ def test_closed_form_errors_match_stepped_oracle(f0, V, cause):
         assert errors[0].step == errors[1].step == 1
 
 
+@pytest.mark.parametrize(
+    "f0, V",
+    [
+        (DensityGrid(GridSpec(32, 10.0), np.ones((32, 32))), Constant(0.0)),
+        (make_cat_density(GridSpec(32, 10.0), 4.0, 0.7), Constant(np.inf)),
+    ],
+    ids=["tail_alarm", "non_finite_phase"],
+)
+def test_closed_form_hands_failures_to_the_stepper(f0, V, monkeypatch):
+    # the closed form raises nothing itself: it leaves the run to the stepper
+    from liouq import stochastic
+
+    calls, real = [], stochastic._stepped_moments
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stochastic, "_stepped_moments", spy)
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2, include_kinetic=False)
+    with np.errstate(invalid="ignore"), pytest.raises(RealizationError):
+        ensemble_evolve(f0, V, NoiseSpec(nu=1.0, seed=3), 5, cfg)
+    assert len(calls) == 1
+
+
 def test_ensemble_requires_two_realizations(cat):
     cfg = EvolverConfig(dt=0.1, n_steps=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         ensemble_evolve(cat, Constant(0.0), NoiseSpec(nu=1.0), 1, cfg)
 
 

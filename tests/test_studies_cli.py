@@ -182,7 +182,7 @@ def test_outputs_deterministic(tmp_path):
     for sub in ("a", "b"):
         report, curves = run_decoherence_study(scenario, realizations=50)
         emit_outputs(report, curves, tmp_path / sub)
-    for name in ("decay_probe_0.csv", "decay_probe_1.csv"):
+    for name in ("summary.json", "decay_probe_0.csv", "decay_probe_1.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
@@ -271,6 +271,27 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = main(["compare", "--scenario", bad, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "banana" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("void", ["--dr", "-1"]),
+        ("void", ["--dr", "0.5", "--rho", "0"]),
+        ("void", ["--dr", "0.5", "--duration", "0"]),
+        ("void", ["--dr", "0.5", "--trials", "50"]),
+        ("decohere", ["--scenario", "cat.cfg", "--realizations", "1"]),
+    ],
+    ids=["dr", "rho", "duration", "trials", "realizations"],
+)
+def test_cli_bad_option_value_is_config_error(tmp_path, capsys, command, args):
+    write(tmp_path, CAT, "cat.cfg")
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
+    rc = main([command, *args, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    assert "Traceback" not in err
 
 
 def test_cli_seed_rejected_where_unused(tmp_path):

@@ -54,7 +54,6 @@ from .potentials import (
     Polynomial,
     Potential,
     Quartic,
-    SuperoperatorField,
     linearize,
     midpoint_term,
     segment_sum,
@@ -64,7 +63,6 @@ from .potentials import (
 from .scenario import Scenario, load_scenario, scenario_from_text
 from .stochastic import (
     EnsembleReport,
-    NoiseField,
     NoiseSpec,
     compare_ensemble_vs_lindblad,
     decay_predict,

@@ -76,7 +76,7 @@ from .grids import (
     xp_to_xy,
     xy_to_xp,
 )
-from .potentials import Potential, SuperoperatorField, superoperator_field
+from .potentials import Potential, superoperator_field
 
 DENSE_GRID_LIMIT = 32
 _CHECKPOINT = 32  # steps between tail reads on the dense path
@@ -108,6 +108,8 @@ class EvolverConfig:
             raise ConfigError("n_steps must be at least 1")
         if self.record_every < 1:
             raise ConfigError("record_every must be at least 1")
+        if not self.tail_threshold > 0:
+            raise ConfigError("tail_threshold must be positive")
 
 
 @dataclass
@@ -309,15 +311,15 @@ def _strang_density(f0: DensityGrid, cfg, phase, tail_limit) -> Trajectory:
     )
 
 
-def _potential_phase(f0: DensityGrid, v: Potential, cfg, extra=None, scale=1.0):
-    """``phase(work, step)`` for exp(-i scale dt [v(Q) - v(q) + extra])."""
+def _potential_phase(f0: DensityGrid, v: Potential, cfg, extra=None):
+    """``phase(work, step)`` for exp(-i dt [v(Q) - v(q) + extra])."""
     x = f0.grid.x
 
     def factor(vx: np.ndarray) -> np.ndarray:
         pot = vx[:, None] - vx[None, :]
         if extra is not None:
             pot = pot + extra
-        return np.exp(-1j * scale * cfg.dt * pot)
+        return np.exp(-1j * cfg.dt * pot)
 
     return _midpoint_phase(
         lambda t: v.value(x, t), factor, v.time_dependent, f0.time, cfg.dt
@@ -418,20 +420,16 @@ def _require_hermitian(f0: DensityGrid) -> None:
 
 
 def qq_liouville_evolve(
-    f0: DensityGrid,
-    v: Potential,
-    E: SuperoperatorField,
-    cfg: EvolverConfig,
+    f0: DensityGrid, v: Potential, cfg: EvolverConfig
 ) -> Trajectory:
     """Density-grid transport including the coupling field E(Q, q).
 
-    With E identically zero (V of at most quadratic order) and a static V
-    it runs as ``von_neumann_evolve`` does, through the dense propagator.
+    E is ``superoperator_field(v, f0.grid)``.  With E identically zero
+    (V of at most quadratic order) and a static V it runs as
+    ``von_neumann_evolve`` does, through the dense propagator.
     """
-    if E.grid != f0.grid:
-        raise ConfigError("coupling field grid does not match the state grid")
     _require_hermitian(f0)
-    return _evolve_density(f0, v, E.values, cfg)
+    return _evolve_density(f0, v, superoperator_field(v, f0.grid), cfg)
 
 
 def von_neumann_evolve(
@@ -469,7 +467,7 @@ def dense_generator(v: Potential, small_grid: GridSpec):
     lap = _spectral_operator(small_grid, lambda k: -(k**2)).real
     h1 = -0.5 * lap + np.diag(v.value(small_grid.x))
     eye = np.eye(n)
-    field = superoperator_field(v, small_grid).values
+    field = superoperator_field(v, small_grid)
     gen = np.kron(h1, eye) - np.kron(eye, h1) + np.diag(field.ravel())
     eigenvalues = np.linalg.eigvalsh(gen)
     return gen, eigenvalues

@@ -320,11 +320,8 @@ def xy_to_Qq(f: XYGrid) -> DensityGrid:
     spectral half-cell shift of the same trigonometric interpolant.
     """
     grid = f.grid
-    n = grid.n_points
-    if n % 2 != 0:
-        raise ConfigError("shear remap requires an even grid")
     shifted = _half_cell_shift(f.values, grid)
-    odd, i_even, j_even, i_odd, j_odd = _shear_index_maps(n)
+    odd, i_even, j_even, i_odd, j_odd = _shear_index_maps(grid.n_points)
     vals = np.where(odd, shifted[i_odd, j_odd], f.values[i_even, j_even])
     return DensityGrid(grid, vals, f.time)
 

@@ -1,13 +1,20 @@
 """Potential models and the coupling field between bra and ket coordinates.
 
+Every polynomial potential is a ``Polynomial``: ``Constant``,
+``Harmonic`` and ``Quartic`` are shorthands that build one, so whether a
+potential is at most quadratic is decided by its degree alone.
+``Linear`` carries a slope that may depend on time, and
+``PiecewiseLinear`` a continuous broken line.
+
 The density-grid evolution picks up the field
 
     E(Q, q) = (Q - q) v'((Q + q)/2) - v(Q) + v(q),
 
-antisymmetric under Q <-> q and identically zero exactly when the
-potential is at most quadratic.  For a piecewise-linear potential the
-difference v(Q) - v(q) decomposes into midpoint terms over the linear
-segments, which this module evaluates exactly.
+the midpoint term minus the potential difference.  It is antisymmetric
+under Q <-> q and identically zero exactly when the potential is at most
+quadratic.  For a piecewise-linear potential the difference
+v(Q) - v(q) decomposes into midpoint terms over the linear segments,
+which this module evaluates exactly.
 """
 
 from __future__ import annotations
@@ -16,19 +23,19 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import ConfigError, DomainError
 from .grids import GridSpec
 
 
 class Potential:
-    """Evaluatable v(x) with derivative; subclasses set ``kind``.
+    """Evaluatable v(x) with derivative.
 
     ``harmonic_order`` marks potentials that are at most quadratic, for
     which the coupling field vanishes identically.
     """
 
-    kind: str = "abstract"
     harmonic_order: bool = False
 
     @property
@@ -43,19 +50,6 @@ class Potential:
 
 
 @dataclass(frozen=True)
-class Constant(Potential):
-    c: float = 0.0
-    kind = "constant"
-    harmonic_order = True
-
-    def value(self, x, t: float = 0.0):
-        return np.full_like(np.asarray(x, dtype=float), self.c)
-
-    def derivative(self, x, t: float = 0.0):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
 class Linear(Potential):
     """v = a x + b; the slope and offset may be callables of time.
 
@@ -65,7 +59,6 @@ class Linear(Potential):
 
     a: float | Callable[[float], float] = 1.0
     b: float | Callable[[float], float] = 0.0
-    kind = "linear"
     harmonic_order = True
 
     @property
@@ -83,37 +76,10 @@ class Linear(Potential):
 
 
 @dataclass(frozen=True)
-class Harmonic(Potential):
-    omega: float = 1.0
-    kind = "harmonic"
-    harmonic_order = True
-
-    def value(self, x, t: float = 0.0):
-        return 0.5 * self.omega**2 * np.asarray(x, dtype=float) ** 2
-
-    def derivative(self, x, t: float = 0.0):
-        return self.omega**2 * np.asarray(x, dtype=float)
-
-
-@dataclass(frozen=True)
-class Quartic(Potential):
-    lam: float = 1.0
-    kind = "quartic"
-    harmonic_order = False
-
-    def value(self, x, t: float = 0.0):
-        return self.lam * np.asarray(x, dtype=float) ** 4
-
-    def derivative(self, x, t: float = 0.0):
-        return 4.0 * self.lam * np.asarray(x, dtype=float) ** 3
-
-
-@dataclass(frozen=True)
 class Polynomial(Potential):
     """v = Σ coeffs[k] x^k with coefficients in ascending order."""
 
     coeffs: tuple
-    kind = "polynomial"
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs)
@@ -134,11 +100,26 @@ class Polynomial(Potential):
         return self.degree <= 2
 
     def value(self, x, t: float = 0.0):
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
+        return P.polyval(np.asarray(x, dtype=float), self.coeffs)
 
     def derivative(self, x, t: float = 0.0):
-        dcoeffs = np.polynomial.polynomial.polyder(self.coeffs)
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), dcoeffs)
+        dcoeffs = P.polyder(self.coeffs)
+        return P.polyval(np.asarray(x, dtype=float), dcoeffs)
+
+
+def Constant(c: float = 0.0) -> Polynomial:
+    """v = c."""
+    return Polynomial((c,))
+
+
+def Harmonic(omega: float = 1.0) -> Polynomial:
+    """v = omega^2 x^2 / 2."""
+    return Polynomial((0.0, 0.0, 0.5 * omega**2))
+
+
+def Quartic(lam: float = 1.0) -> Polynomial:
+    """v = lam x^4."""
+    return Polynomial((0.0, 0.0, 0.0, 0.0, lam))
 
 
 @dataclass(frozen=True)
@@ -151,8 +132,6 @@ class PiecewiseLinear(Potential):
 
     breakpoints: np.ndarray
     values: np.ndarray
-    kind = "piecewise_linear"
-    harmonic_order = False
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -210,40 +189,6 @@ def step_schedule(pairs: Sequence[Sequence[float]]) -> Callable[[float], float]:
 # coupling field and segment identities
 
 
-@dataclass(frozen=True)
-class SuperoperatorField:
-    """Precomputed E(Q, q) on the density grid; exactly antisymmetric."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        n = self.grid.n_points
-        if vals.shape != (n, n):
-            raise ConfigError("field shape does not match grid")
-        object.__setattr__(self, "values", vals)
-
-
-def superoperator_field(v: Potential, grid: GridSpec) -> SuperoperatorField:
-    """Evaluate E(Q, q) = (Q - q) v'((Q+q)/2) - v(Q) + v(q) on the grid.
-
-    For potentials of at most quadratic order the field is algebraically
-    zero and returned as exact zeros.  Otherwise the upper triangle is
-    evaluated pointwise and mirrored with a sign flip, which enforces
-    exact antisymmetry and a zero diagonal.
-    """
-    n = grid.n_points
-    if v.harmonic_order:
-        return SuperoperatorField(grid, np.zeros((n, n)))
-    x = grid.x
-    qq = x[:, None]
-    q = x[None, :]
-    raw = (qq - q) * v.derivative((qq + q) / 2.0) - v.value(qq) + v.value(q)
-    upper = np.triu(raw, 1)
-    return SuperoperatorField(grid, upper - upper.T)
-
-
 def midpoint_term(v: Potential, q, Q, t: float = 0.0):
     """Single-segment midpoint value (Q - q) v'((Q + q)/2).
 
@@ -254,6 +199,23 @@ def midpoint_term(v: Potential, q, Q, t: float = 0.0):
     Q = np.asarray(Q, dtype=float)
     out = (Q - q) * v.derivative((Q + q) / 2.0, t)
     return float(out) if out.ndim == 0 else out
+
+
+def superoperator_field(v: Potential, grid: GridSpec) -> np.ndarray:
+    """E(Q, q) = (Q - q) v'((Q+q)/2) - v(Q) + v(q) on the grid, indexed [Q, q].
+
+    For potentials of at most quadratic order the field is algebraically
+    zero and returned as exact zeros.  Otherwise the upper triangle is
+    evaluated pointwise and mirrored with a sign flip, which enforces
+    exact antisymmetry and a zero diagonal.
+    """
+    n = grid.n_points
+    if v.harmonic_order:
+        return np.zeros((n, n))
+    Q = grid.x[:, None]
+    q = grid.x[None, :]
+    upper = np.triu(midpoint_term(v, q, Q) - v.value(Q) + v.value(q), 1)
+    return upper - upper.T
 
 
 def segment_sum(v: PiecewiseLinear, q: float, Q: float) -> float:

@@ -77,6 +77,7 @@ SCHEMA = {
     "output.dir": ("str", None),
 }
 
+_NUMERIC = ("float", "float_or_list", "list")  # type tags whose values are numbers
 _ENGINES = ("classical", "qq", "vonneumann")
 _STATE_KINDS = ("gaussian", "cat")
 _POTENTIAL_KINDS = (
@@ -112,7 +113,19 @@ def parse_scenario_text(text: str) -> dict:
         except json.JSONDecodeError:
             value = value_text
         mapping[key] = _coerce(key, value)
+        if SCHEMA[key][0] in _NUMERIC and not _finite(mapping[key]):
+            raise ConfigError(
+                f"line {lineno}: {key!r} must hold finite numbers only, got {value!r}"
+            )
     return mapping
+
+
+def _finite(value) -> bool:
+    """True for a finite number or a nested list of finite numbers."""
+    if isinstance(value, list):
+        return all(_finite(item) for item in value)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and math.isfinite(value)
 
 
 def _coerce(key: str, value):
@@ -144,7 +157,7 @@ def _coerce(key: str, value):
             if isinstance(value, bool):
                 raise ValueError
             return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"key {key!r}: expected {tag}, got {value!r}")
 
@@ -278,6 +291,8 @@ def _validate(mapping: dict) -> dict:
         raise ConfigError("evolve.t_final must be positive")
     if settings["evolve.record_every"] < 0:
         raise ConfigError("evolve.record_every must be >= 0")
+    if settings["noise.nu0"] < 0:
+        raise ConfigError("noise.nu0 must be >= 0")
     if settings["ensemble.realizations"] < 2:
         raise ConfigError("ensemble.realizations must be >= 2")
     probes = settings["probes"]

@@ -12,9 +12,11 @@ law is the stationary-phase limit of the dissipative stepper, whose
 decay coefficient grows linearly in time; stepping uses the midpoint
 value of that coefficient, which integrates the linear growth exactly.
 
-Realizations are drawn from the counter-based streams of
-:mod:`liouq.streams`, keyed by (seed, realization index), so results do
-not depend on evaluation order.
+A noise width always comes as a ``NoiseSpec``: the profile nu(x) and
+the stream seed.  Realizations are drawn from the counter-based streams
+of :mod:`liouq.streams`, keyed by (seed, realization index), so results
+do not depend on evaluation order; ``sample_noise`` returns realization
+k's field dV(x) as an array.
 """
 
 from __future__ import annotations
@@ -69,15 +71,6 @@ class NoiseSpec:
         return prof
 
 
-@dataclass(frozen=True)
-class NoiseField:
-    """One sampled realization dV(x)."""
-
-    values: np.ndarray
-    seed: int
-    index: int
-
-
 def _draws(profile: np.ndarray, seed: int, k: int):
     """Successive fields of stream ``(seed, k)``: independent cells, std profile."""
     rng = stream(seed, k)
@@ -85,16 +78,9 @@ def _draws(profile: np.ndarray, seed: int, k: int):
         yield profile * rng.standard_normal(profile.size)
 
 
-def sample_noise(spec: NoiseSpec, grid: GridSpec, k: int) -> NoiseField:
-    """Draw realization ``k``: independent cells, mean 0, std nu(x)."""
-    values = next(_draws(spec.nu_on_grid(grid), spec.seed, k))
-    return NoiseField(values, spec.seed, k)
-
-
-def _profile(nu, grid: GridSpec) -> np.ndarray:
-    """nu(x) on the lattice from a NoiseSpec or a bare width argument."""
-    spec = nu if isinstance(nu, NoiseSpec) else NoiseSpec(nu)
-    return spec.nu_on_grid(grid)
+def sample_noise(spec: NoiseSpec, grid: GridSpec, k: int) -> np.ndarray:
+    """Draw realization ``k``'s field dV(x): independent cells, mean 0, std nu(x)."""
+    return next(_draws(spec.nu_on_grid(grid), spec.seed, k))
 
 
 @dataclass
@@ -269,37 +255,36 @@ def ensemble_evolve(
 # dissipative stepper and its closed form
 
 
-def _decay_rates(nu_profile: np.ndarray) -> np.ndarray:
-    rates = nu_profile[:, None] ** 2 + nu_profile[None, :] ** 2
+def _decay_rates(nu: np.ndarray) -> np.ndarray:
+    rates = nu[:, None] ** 2 + nu[None, :] ** 2
     np.fill_diagonal(rates, 0.0)
     return rates
 
 
 def lindblad_evolve(
-    f0: DensityGrid, V: Potential, nu, cfg: EvolverConfig
+    f0: DensityGrid, V: Potential, spec: NoiseSpec, cfg: EvolverConfig
 ) -> Trajectory:
     """Unitary transport plus off-diagonal damping with linearly growing rate.
 
-    Per step: kinetic half-step, then the pointwise potential half-phase,
-    the damping exp(-(t + dt/2) dt [nu^2(Q) + nu^2(q)]) off the diagonal
-    and the second potential half-phase, then the second kinetic
-    half-step.  Like every engine, both half-phases sample a
-    time-dependent V at the step midpoint, and both apply one factor,
-    built again only when the sampled potential changes.  The diagonal
-    is untouched, so the trace is conserved exactly by the dissipative
+    Per step: kinetic half-step, then the pointwise potential phase and
+    the damping exp(-(t + dt/2) dt [nu^2(Q) + nu^2(q)]) off the diagonal,
+    then the second kinetic half-step.  Both pointwise factors commute,
+    so their order is immaterial.  Like every engine, the potential
+    phase samples a time-dependent V at the step midpoint and is built
+    again only when the sampled potential changes.  The diagonal is
+    untouched, so the trace is conserved exactly by the dissipative
     factor, and with nu = 0 the step is one commutator-transport step.
     The boundary tail is read and recorded at recorded times, and does
     not abort the run.
     """
-    rates = _decay_rates(_profile(nu, f0.grid))
+    rates = _decay_rates(spec.nu_on_grid(f0.grid))
     dt = cfg.dt
-    pot_half = _potential_phase(f0, V, cfg, scale=0.5)
+    potential = _potential_phase(f0, V, cfg)
 
     def phase(work: np.ndarray, step: int) -> None:
         t_prev = f0.time + (step - 1) * dt
-        pot_half(work, step)
+        potential(work, step)
         work *= np.exp(-(t_prev + 0.5 * dt) * dt * rates)
-        pot_half(work, step)
 
     # No tail abort: the damping has zero rate on the diagonal, so it is
     # not smooth, and the kinetic half-steps ring it out to the box edge.
@@ -308,18 +293,18 @@ def lindblad_evolve(
     return _strang_density(f0, cfg, phase, None)
 
 
-def decay_predict(f0: DensityGrid, nu, t: float) -> DensityGrid:
+def decay_predict(f0: DensityGrid, spec: NoiseSpec, t: float) -> DensityGrid:
     """Closed-form off-diagonal decay with the transport part neglected.
 
     f(Q, q; t) = f(Q, q; 0) exp(-t^2 [nu^2(Q) + nu^2(q)] / 2) off the
     diagonal; diagonal elements are unchanged.
     """
-    factor = np.exp(-0.5 * t**2 * _decay_rates(_profile(nu, f0.grid)))
+    factor = np.exp(-0.5 * t**2 * _decay_rates(spec.nu_on_grid(f0.grid)))
     return DensityGrid(f0.grid, f0.values * factor, f0.time + t)
 
 
 def compare_ensemble_vs_lindblad(
-    report: EnsembleReport, traj: Trajectory, nu
+    report: EnsembleReport, traj: Trajectory, spec: NoiseSpec
 ) -> dict:
     """Per-time distances between the averaged ensemble and the stepper.
 
@@ -339,7 +324,7 @@ def compare_ensemble_vs_lindblad(
     worst_z = 0.0
     n_checked = 0
     n_exceed = 0
-    nu_max = float(_profile(nu, report.mean_states[0].grid).max())
+    nu_max = float(spec.nu_on_grid(report.mean_states[0].grid).max())
     for idx, (t, other) in enumerate(zip(times, traj.states)):
         mean_state = report.mean_states[idx]
         if other.grid != mean_state.grid:

@@ -24,7 +24,13 @@ from .evolvers import (
     von_neumann_evolve,
 )
 from .grids import save_state, xp_to_Qq
-from .potentials import PiecewiseLinear, linearize, segment_sum, superoperator_field
+from .potentials import (
+    Constant,
+    PiecewiseLinear,
+    linearize,
+    segment_sum,
+    superoperator_field,
+)
 from .scenario import Scenario
 from .stochastic import (
     compare_ensemble_vs_lindblad,
@@ -106,8 +112,7 @@ def run_evolve_study(scenario: Scenario, engine=None):
     if engine == "classical":
         traj = liouville_evolve_xp(scenario.build_initial_xp(), v, cfg)
     elif engine == "qq":
-        field_e = superoperator_field(v, scenario.build_grid())
-        traj = qq_liouville_evolve(scenario.build_initial_density(), v, field_e, cfg)
+        traj = qq_liouville_evolve(scenario.build_initial_density(), v, cfg)
     elif engine == "vonneumann":
         traj = von_neumann_evolve(scenario.build_initial_density(), v, cfg)
     else:
@@ -137,11 +142,10 @@ def run_equivalence_study(scenario: Scenario):
     cfg = scenario.build_evolver_config()
     f0_xp = scenario.build_initial_xp()
     f0_qq = xp_to_Qq(f0_xp)
-    field_e = superoperator_field(v, grid)
 
     classical = liouville_evolve_xp(f0_xp, v, cfg)
     quantum = von_neumann_evolve(f0_qq, v, cfg)
-    coupled = qq_liouville_evolve(f0_qq, v, field_e, cfg)
+    coupled = qq_liouville_evolve(f0_qq, v, cfg)
 
     times = classical.times
     classical_qq = [xp_to_Qq(state).values for state in classical.states]
@@ -233,11 +237,7 @@ def _default_probes(scenario: Scenario, grid):
 def run_decoherence_study(scenario: Scenario, realizations=None, mode=None):
     """Noisy-ensemble decay versus the dissipative stepper and closed form."""
     grid = scenario.build_grid()
-    v = scenario.build_potential() if scenario["potential.kind"] else None
-    if v is None:
-        from .potentials import Constant
-
-        v = Constant(0.0)
+    v = scenario.build_potential() if scenario["potential.kind"] else Constant(0.0)
     cfg = scenario.build_evolver_config()
     spec = scenario.build_noise_spec()
     M = realizations if realizations is not None else scenario["ensemble.realizations"]
@@ -254,7 +254,7 @@ def run_decoherence_study(scenario: Scenario, realizations=None, mode=None):
     quenched = mode == "quenched"
     ensemble = ensemble_evolve(f0, v, spec, M, cfg, mode=mode)
     stepped = lindblad_evolve(f0, v, spec, cfg)
-    comparison = compare_ensemble_vs_lindblad(ensemble, stepped, nu=spec)
+    comparison = compare_ensemble_vs_lindblad(ensemble, stepped, spec)
     report.metrics["mode"] = mode
     report.metrics["comparison_max_z"] = comparison["max_z"]
     report.metrics["comparison_exceed_fraction"] = comparison["exceed_fraction"]
@@ -265,7 +265,7 @@ def run_decoherence_study(scenario: Scenario, realizations=None, mode=None):
             "ensemble_vs_stepper", float(comparison["pass"]), 1.0, ">="
         )
 
-    nu_profile = spec.nu_on_grid(grid)
+    nu = spec.nu_on_grid(grid)
     times = np.asarray(ensemble.times[1:])
     probe_curves = {}
     hamiltonian_off = (not cfg.include_kinetic) and np.allclose(
@@ -292,7 +292,7 @@ def run_decoherence_study(scenario: Scenario, realizations=None, mode=None):
                 flat = float(np.abs(mags - ref).max())
                 report.add_check(f"diagonal_probe_{idx}_flat", flat, 1e-12)
             continue
-        rate = 0.5 * (nu_profile[i] ** 2 + nu_profile[j] ** 2)
+        rate = 0.5 * (nu[i] ** 2 + nu[j] ** 2)
         if quenched and ref > 0 and rate > 0 and hamiltonian_off:
             fitted = fit_decay_exponent(times, mags, ref, errs)
             ratio = fitted / rate
@@ -348,6 +348,8 @@ def run_void_study(dr, rho=1.0, duration=1.0, geometry="ball_times_interval",
 
 def run_segment_checks(scenario: Scenario, n_pairs=1000, seed=0):
     """Random-pair identities for the piecewise-linear machinery."""
+    if n_pairs < 1:
+        raise ConfigError("need at least one pair")
     grid = scenario.build_grid()
     v = scenario.build_potential()
     if not isinstance(v, PiecewiseLinear):
@@ -361,7 +363,7 @@ def run_segment_checks(scenario: Scenario, n_pairs=1000, seed=0):
         want = float(v.value(Q) - v.value(q))
         worst = max(worst, abs(got - want))
     field = superoperator_field(scenario.build_potential(), grid)
-    antisym = float(np.abs(field.values + field.values.T).max())
+    antisym = float(np.abs(field + field.T).max())
     report = RunReport(
         study="segcheck",
         scenario_hash=scenario.content_hash,

@@ -49,6 +49,9 @@ def test_config_validation():
         EvolverConfig(dt=0.0, n_steps=1)
     with pytest.raises(ConfigError):
         EvolverConfig(dt=0.1, n_steps=0)
+    for threshold in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ConfigError, match="tail_threshold"):
+            EvolverConfig(dt=0.1, n_steps=1, tail_threshold=threshold)
 
 
 def test_harmonic_quarter_period_rotation(grid64):
@@ -143,8 +146,7 @@ def test_qq_engine_equals_vonneumann_when_field_vanishes(grid64):
     f0 = xp_to_Qq(make_gaussian_phase_space(0.4, 0.0, SIGMA, SIGMA, grid64))
     v = Harmonic(1.0)
     cfg = EvolverConfig(dt=0.002, n_steps=100, record_every=100)
-    field = superoperator_field(v, grid64)
-    a = qq_liouville_evolve(f0, v, field, cfg)
+    a = qq_liouville_evolve(f0, v, cfg)
     b = von_neumann_evolve(f0, v, cfg)
     assert np.abs(a.states[-1].values - b.states[-1].values).max() <= 1e-12
 
@@ -153,8 +155,7 @@ def test_zero_potential_engines_identical(grid64):
     f0 = xp_to_Qq(make_gaussian_phase_space(0.0, 0.5, SIGMA, SIGMA, grid64))
     v = Constant(0.0)
     cfg = EvolverConfig(dt=0.002, n_steps=50, record_every=50)
-    field = superoperator_field(v, grid64)
-    a = qq_liouville_evolve(f0, v, field, cfg)
+    a = qq_liouville_evolve(f0, v, cfg)
     b = von_neumann_evolve(f0, v, cfg)
     assert np.abs(a.states[-1].values - b.states[-1].values).max() == 0.0
 
@@ -257,15 +258,6 @@ def test_dt_guard_warning(grid64):
         liouville_evolve_xp(f0, Constant(0.0), cfg)
 
 
-def test_mismatched_field_grid_rejected(grid64):
-    f0 = xp_to_Qq(make_gaussian_phase_space(0.0, 0.0, SIGMA, SIGMA, grid64))
-    other = GridSpec(32, 8.0)
-    field = superoperator_field(Quartic(1.0), other)
-    cfg = EvolverConfig(dt=1e-3, n_steps=1)
-    with pytest.raises(ConfigError):
-        qq_liouville_evolve(f0, Quartic(1.0), field, cfg)
-
-
 # ---------------------------------------------------------------------------
 # fused kernel against the unfused Strang loop
 
@@ -308,9 +300,9 @@ def _run_engine(name, v, grid, cfg):
     elif name == "von_neumann":
         traj = von_neumann_evolve(rho, v, cfg)
     elif name == "qq":
-        traj = qq_liouville_evolve(rho, v, superoperator_field(v, grid), cfg)
+        traj = qq_liouville_evolve(rho, v, cfg)
     elif name == "lindblad":
-        traj = lindblad_evolve(rho, v, nu, cfg)
+        traj = lindblad_evolve(rho, v, NoiseSpec(nu), cfg)
     else:
         rep = ensemble_evolve(rho, v, NoiseSpec(nu, seed=4), 3, cfg, mode=name)
         return rep.times, rep.mean_states + rep.stderr, []
@@ -425,10 +417,10 @@ def test_dense_path_matches_stepped_kernel(grid64, monkeypatch, name, v,
                         tail_threshold=1e-6)
     rho = _packet(grid64)
     field = superoperator_field(v, grid64)
-    ref = _stepped(rho, v, field.values if name == "qq" else None, cfg)
+    ref = _stepped(rho, v, field if name == "qq" else None, cfg)
     calls = _spy_strang(monkeypatch)
     if name == "qq":
-        traj = qq_liouville_evolve(rho, v, field, cfg)
+        traj = qq_liouville_evolve(rho, v, cfg)
     else:
         traj = von_neumann_evolve(rho, v, cfg)
     if record_every >= evolvers._MIN_DENSE_GAP:
@@ -452,8 +444,7 @@ def test_stepped_inputs_keep_the_kernel(grid64, monkeypatch, case):
     if case == "time_dependent":
         von_neumann_evolve(rho, _switched_linear(), cfg)
     elif case == "coupling_field":
-        v = Quartic(0.25)
-        qq_liouville_evolve(rho, v, superoperator_field(v, grid64), cfg)
+        qq_liouville_evolve(rho, Quartic(0.25), cfg)
     elif case == "kinetic_off":
         von_neumann_evolve(rho, Harmonic(1.0), cfg)
     else:

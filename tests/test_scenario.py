@@ -1,10 +1,19 @@
 """Scenario parsing, validation, defaulting, hashing."""
 
 import math
+from pathlib import Path
 
 import pytest
 
-from liouq import Harmonic, PiecewiseLinear, load_scenario, scenario_from_text
+from liouq import (
+    DensityGrid,
+    EvolverConfig,
+    GridSpec,
+    PiecewiseLinear,
+    Polynomial,
+    load_scenario,
+    scenario_from_text,
+)
 from liouq.errors import ConfigError
 from liouq.potentials import Linear
 from liouq.scenario import parse_scenario_text
@@ -21,7 +30,7 @@ def test_minimal_scenario_gets_defaults():
     assert s["grid.L"] == 10.0
     assert s["state.sigma_x"] == pytest.approx(1.0 / math.sqrt(2.0))
     assert s["evolve.dt"] == 1e-3
-    assert isinstance(s.build_potential(), Harmonic)
+    assert s.build_potential() == Polynomial((0.0, 0.0, 0.5))
     cfg = s.build_evolver_config()
     assert cfg.n_steps == 1000
 
@@ -124,3 +133,36 @@ def test_validation_happens_before_compute():
         scenario_from_text(MINIMAL + "grid.n = 9\n")
     with pytest.raises(ConfigError):
         scenario_from_text(MINIMAL + "evolve.engine = magic\n")
+
+
+SCENARIOS = sorted((Path(__file__).parents[1] / "scenarios").glob("*.cfg"))
+
+# the Polynomial each shorthand kind stands for, from its parameters
+SHORTHANDS = {
+    "constant": lambda s: (s["potential.params.c"] or 0.0,),
+    "harmonic": lambda s: (0.0, 0.0, 0.5 * s["potential.params.omega"] ** 2),
+    "quartic": lambda s: (0.0, 0.0, 0.0, 0.0, s["potential.params.lam"]),
+}
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+def test_shipped_scenario_builds(path):
+    s = load_scenario(path)
+    grid = s.build_grid()
+    assert isinstance(grid, GridSpec)
+    v = s.build_potential()
+    assert isinstance(s.build_evolver_config(), EvolverConfig)
+    # a file that sets no state key runs a study that reads none (spectrum);
+    # the default packet does not fit its small grid
+    if any(key.startswith("state.") for key in parse_scenario_text(path.read_text())):
+        f0 = s.build_initial_density()
+        assert isinstance(f0, DensityGrid) and f0.grid == grid
+    kind = s["potential.kind"]
+    if kind in SHORTHANDS:
+        assert v == Polynomial(SHORTHANDS[kind](s))
+
+
+def test_scenarios_are_shipped():
+    assert {p.stem for p in SCENARIOS} >= {
+        "cat_decoherence", "harmonic_equivalence", "quartic_divergence", "spectrum_small"
+    }

@@ -23,7 +23,6 @@ from liouq import (
     qq_liouville_evolve,
     sample_noise,
     step_schedule,
-    superoperator_field,
     von_neumann_evolve,
 )
 from liouq.errors import (
@@ -54,23 +53,23 @@ def probe_indices(grid, separation=4.0):
 def test_noise_first_two_moments(grid):
     spec = NoiseSpec(nu=1.0, seed=101)
     m = 100_000
-    cell = np.array([sample_noise(spec, grid, k).values[7] for k in range(m)])
+    cell = np.array([sample_noise(spec, grid, k)[7] for k in range(m)])
     assert abs(cell.mean()) <= 4.0 / np.sqrt(m)
     assert abs(cell.var() - 1.0) <= 0.05
 
 
 def test_noise_zero_width_gives_zero_field(grid):
     field = sample_noise(NoiseSpec(nu=0.0, seed=3), grid, 0)
-    assert np.all(field.values == 0.0)
+    assert np.all(field == 0.0)
 
 
 def test_noise_determinism(grid):
     spec = NoiseSpec(nu=1.0, seed=5)
     a = sample_noise(spec, grid, 9)
     b = sample_noise(spec, grid, 9)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     c = sample_noise(spec, grid, 10)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_noise_profile_variants(grid):
@@ -233,10 +232,10 @@ def test_evolution_is_linear_in_the_state():
         + 0.7 * von_neumann_evolve(f2, v, cfg).states[-1].values
     )
     assert np.abs(out_mix - out_sep).max() <= 1e-12
-    out_mix_l = lindblad_evolve(mix, v, 1.0, cfg).states[-1].values
+    out_mix_l = lindblad_evolve(mix, v, NoiseSpec(1.0), cfg).states[-1].values
     out_sep_l = (
-        0.3 * lindblad_evolve(f1, v, 1.0, cfg).states[-1].values
-        + 0.7 * lindblad_evolve(f2, v, 1.0, cfg).states[-1].values
+        0.3 * lindblad_evolve(f1, v, NoiseSpec(1.0), cfg).states[-1].values
+        + 0.7 * lindblad_evolve(f2, v, NoiseSpec(1.0), cfg).states[-1].values
     )
     assert np.abs(out_mix_l - out_sep_l).max() <= 1e-12
 
@@ -244,8 +243,8 @@ def test_evolution_is_linear_in_the_state():
 def test_lindblad_matches_closed_form_without_transport(cat, grid):
     cfg = EvolverConfig(dt=1e-3, n_steps=1000, record_every=1000,
                         include_kinetic=False)
-    traj = lindblad_evolve(cat, Constant(0.0), 1.0, cfg)
-    predicted = decay_predict(cat, 1.0, 1.0)
+    traj = lindblad_evolve(cat, Constant(0.0), NoiseSpec(1.0), cfg)
+    predicted = decay_predict(cat, NoiseSpec(1.0), 1.0)
     assert np.abs(traj.states[-1].values - predicted.values).max() <= 1e-8
     i, _ = probe_indices(grid)
     assert traj.states[-1].values[i, i] == cat.values[i, i]  # diagonal exact
@@ -254,7 +253,7 @@ def test_lindblad_matches_closed_form_without_transport(cat, grid):
 def test_lindblad_trace_exactly_conserved(cat):
     cfg = EvolverConfig(dt=0.01, n_steps=100, record_every=25,
                         include_kinetic=False)
-    traj = lindblad_evolve(cat, Constant(0.0), 2.0, cfg)
+    traj = lindblad_evolve(cat, Constant(0.0), NoiseSpec(2.0), cfg)
     for diag in traj.diagnostics:
         assert abs(diag["trace"].real - 1.0) <= 1e-12
         assert diag["hermiticity_defect"] <= 1e-12
@@ -263,7 +262,7 @@ def test_lindblad_trace_exactly_conserved(cat):
 def test_lindblad_has_dt_guard(cat):
     cfg = EvolverConfig(dt=0.05, n_steps=1)  # above 0.1 dx^2 here
     with pytest.warns(TimeStepWarning):
-        lindblad_evolve(cat, Constant(0.0), 1.0, cfg)
+        lindblad_evolve(cat, Constant(0.0), NoiseSpec(1.0), cfg)
 
 
 def test_lindblad_records_tail_without_abort():
@@ -271,7 +270,7 @@ def test_lindblad_records_tail_without_abort():
     # recorded, never raised, even above the configured threshold
     cat = make_cat_density(GridSpec(64, 10.0), 4.0, 0.7)
     cfg = EvolverConfig(dt=0.008, n_steps=15, record_every=5)
-    traj = lindblad_evolve(cat, Harmonic(1.0), 1.0, cfg)
+    traj = lindblad_evolve(cat, Harmonic(1.0), NoiseSpec(1.0), cfg)
     tails = [d["boundary_fraction"] for d in traj.diagnostics]
     assert len(tails) == 4
     assert max(tails) > cfg.tail_threshold
@@ -288,7 +287,7 @@ def switched_force():
 def test_lindblad_zero_noise_is_vonneumann(v):
     cat = make_cat_density(GridSpec(48, 10.0), 4.0, 0.7)
     cfg = EvolverConfig(dt=0.01, n_steps=20, record_every=20)
-    a = lindblad_evolve(cat, v, 0.0, cfg)
+    a = lindblad_evolve(cat, v, NoiseSpec(0.0), cfg)
     b = von_neumann_evolve(cat, v, cfg)
     assert np.abs(a.states[-1].values - b.states[-1].values).max() <= 1e-12
 
@@ -308,10 +307,8 @@ def test_resampled_zero_noise_follows_time_dependent_potential():
     [
         lambda f, v, cfg: liouville_evolve_xp(Qq_to_xp(f), v, cfg),
         lambda f, v, cfg: von_neumann_evolve(f, v, cfg),
-        lambda f, v, cfg: qq_liouville_evolve(
-            f, v, superoperator_field(v, f.grid), cfg
-        ),
-        lambda f, v, cfg: lindblad_evolve(f, v, 1.0, cfg),
+        lambda f, v, cfg: qq_liouville_evolve(f, v, cfg),
+        lambda f, v, cfg: lindblad_evolve(f, v, NoiseSpec(1.0), cfg),
         lambda f, v, cfg: ensemble_evolve(f, v, NoiseSpec(1.0), 2, cfg),
     ],
     ids=["xp", "von_neumann", "qq", "lindblad", "stepped_ensemble"],
@@ -325,11 +322,11 @@ def test_dt_guard_warning_names_the_caller(cat, run):
 
 def test_decay_predict_values(cat, grid):
     i, j = probe_indices(grid)
-    out = decay_predict(cat, 1.0, 1.0)
+    out = decay_predict(cat, NoiseSpec(1.0), 1.0)
     assert abs(out.values[i, j]) == pytest.approx(
         abs(cat.values[i, j]) * np.exp(-1.0), rel=1e-12
     )
-    ident = decay_predict(cat, 1.0, 0.0)
+    ident = decay_predict(cat, NoiseSpec(1.0), 0.0)
     assert np.array_equal(ident.values, cat.values)
 
 
@@ -342,7 +339,7 @@ def test_decay_predict_mixed_widths(grid):
     oracle = np.exp(-0.5 * 2.0**2 * (nu2[i] + nu2[j]))
     assert oracle == pytest.approx(np.exp(-8.0), rel=1e-15)
     f = make_cat_density(grid, 4.0, 0.7)
-    out = decay_predict(f, np.sqrt(nu2), 2.0)
+    out = decay_predict(f, NoiseSpec(np.sqrt(nu2)), 2.0)
     assert out.values[i, j] == pytest.approx(f.values[i, j] * np.exp(-8.0), rel=1e-12)
 
 
@@ -351,7 +348,7 @@ def test_decay_predict_mixed_widths(grid):
 def test_decay_magnitudes_never_increase(t):
     grid = GridSpec(32, 10.0)
     f = make_cat_density(grid, 4.0, 0.7)
-    out = decay_predict(f, 1.0, t)
+    out = decay_predict(f, NoiseSpec(1.0), t)
     assert np.all(np.abs(out.values) <= np.abs(f.values) + 1e-15)
 
 
@@ -360,7 +357,7 @@ def test_compare_pass_for_quenched_window(cat, grid):
     cfg = EvolverConfig(dt=0.1, n_steps=20, record_every=5, include_kinetic=False)
     rep = ensemble_evolve(cat, Constant(0.0), spec, 400, cfg)
     traj = lindblad_evolve(cat, Constant(0.0), spec, cfg)
-    result = compare_ensemble_vs_lindblad(rep, traj, nu=spec)
+    result = compare_ensemble_vs_lindblad(rep, traj, spec)
     assert result["pass"]
     assert len(result["maxnorm"]) == len(rep.times)
 
@@ -370,7 +367,7 @@ def test_compare_zero_noise_differences_vanish(cat):
     cfg = EvolverConfig(dt=0.05, n_steps=10, record_every=5, include_kinetic=False)
     rep = ensemble_evolve(cat, Constant(0.0), spec, 3, cfg)
     traj = lindblad_evolve(cat, Constant(0.0), spec, cfg)
-    result = compare_ensemble_vs_lindblad(rep, traj, nu=spec)
+    result = compare_ensemble_vs_lindblad(rep, traj, spec)
     assert max(result["maxnorm"]) <= 1e-10
 
 
@@ -381,7 +378,7 @@ def test_compare_rejects_mismatched_grids(cat):
     other = make_cat_density(GridSpec(16, 10.0), 4.0, 0.7)
     traj = lindblad_evolve(other, Constant(0.0), spec, cfg)
     with pytest.raises(ConfigError):
-        compare_ensemble_vs_lindblad(rep, traj, nu=spec)
+        compare_ensemble_vs_lindblad(rep, traj, spec)
 
 
 def test_compare_rejects_mismatched_records(cat):
@@ -394,7 +391,7 @@ def test_compare_rejects_mismatched_records(cat):
     ):
         traj = lindblad_evolve(cat, Constant(0.0), spec, other)
         with pytest.raises(ConfigError):
-            compare_ensemble_vs_lindblad(rep, traj, nu=spec)
+            compare_ensemble_vs_lindblad(rep, traj, spec)
 
 
 def test_resampled_mode_decays_slower_per_unit_time(cat, grid):
@@ -472,7 +469,7 @@ def test_short_time_consistency_third_order():
         n_steps = max(2, int(round(t / 0.00125)))
         cfg = EvolverConfig(dt=t / n_steps, n_steps=n_steps,
                             record_every=n_steps, tail_threshold=1.0)
-        stepped = lindblad_evolve(f0, Constant(0.0), nu_profile, cfg)
+        stepped = lindblad_evolve(f0, Constant(0.0), NoiseSpec(nu_profile), cfg)
         diffs.append(
             np.abs(exact_average(t, n_steps) - stepped.states[-1].values).max()
         )

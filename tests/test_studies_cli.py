@@ -281,8 +281,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("void", ["--dr", "0.5", "--duration", "0"]),
         ("void", ["--dr", "0.5", "--trials", "50"]),
         ("decohere", ["--scenario", "cat.cfg", "--realizations", "1"]),
+        ("segcheck", ["--scenario", "cat.cfg", "--pairs", "0"]),
+        ("segcheck", ["--scenario", "cat.cfg", "--pairs", "-5"]),
     ],
-    ids=["dr", "rho", "duration", "trials", "realizations"],
+    ids=["dr", "rho", "duration", "trials", "realizations", "no_pairs", "negative_pairs"],
 )
 def test_cli_bad_option_value_is_config_error(tmp_path, capsys, command, args):
     write(tmp_path, CAT, "cat.cfg")
@@ -292,6 +294,55 @@ def test_cli_bad_option_value_is_config_error(tmp_path, capsys, command, args):
     err = capsys.readouterr().err
     assert "configuration error:" in err
     assert "Traceback" not in err
+
+
+# a quartic run whose packet reaches the box edge within a few steps
+EDGE_BOUND = """
+grid.n = 64
+grid.L = 8.0
+potential.kind = quartic
+potential.params.lam = 0.25
+state.x0 = 3.0
+evolve.dt = 0.01
+evolve.t_final = 3.0
+"""
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("compare", EDGE_BOUND + "evolve.tail_threshold = NaN\n"),
+        ("compare", EDGE_BOUND + "evolve.tail_threshold = 0\n"),
+        ("compare", EDGE_BOUND.replace("evolve.dt = 0.01", "evolve.dt = NaN")),
+        ("compare", EDGE_BOUND.replace("evolve.dt = 0.01", "evolve.dt = nan")),
+        ("compare", EDGE_BOUND.replace("lam = 0.25", "lam = Infinity")),
+        ("compare", EDGE_BOUND.replace("grid.n = 64", "grid.n = Infinity")),
+        ("compare", EDGE_BOUND.replace("potential.kind = quartic\npotential.params.lam = 0.25",
+                                       "potential.kind = polynomial\n"
+                                       "potential.coeffs = [0, -Infinity]")),
+        ("compare", EDGE_BOUND.replace("potential.kind = quartic\npotential.params.lam = 0.25",
+                                       "potential.kind = polynomial\n"
+                                       'potential.coeffs = [0, "nan"]')),
+        ("decohere", CAT.replace("noise.nu0 = 1.0", "noise.nu0 = -1.0")),
+    ],
+    ids=["nan_tail", "zero_tail", "nan_dt", "bare_nan_dt", "inf_float", "inf_int",
+         "inf_in_list", "string_in_list", "negative_nu0"],
+)
+def test_cli_non_finite_or_negative_value_is_config_error(tmp_path, capsys, command, text):
+    rc = main([command, "--scenario", write(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_edge_bound_run_aborts_on_the_tail(tmp_path, capsys):
+    # the run the threshold cases above would otherwise start
+    rc = main(["compare", "--scenario", write(tmp_path, EDGE_BOUND),
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "runtime error:" in capsys.readouterr().err
 
 
 def test_cli_seed_rejected_where_unused(tmp_path):

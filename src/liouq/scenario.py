@@ -15,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .evolvers import EvolverConfig
 from .grids import (
     DensityGrid,
@@ -218,26 +219,35 @@ class Scenario:
             )
         raise ConfigError(f"unknown potential.kind {kind!r}")
 
+    @contextmanager
+    def _state_keys(self, *keys):
+        """Re-raise a state constructor's DomainError as a bad value of ``keys``."""
+        try:
+            yield
+        except DomainError as exc:
+            keys += ("grid.n", "grid.L")
+            named = ", ".join(f"{key} = {self[key]}" for key in keys)
+            raise ConfigError(f"no valid initial state from {named}: {exc}") from exc
+
     def build_initial_xp(self) -> PhaseSpaceDistribution:
         if self["state.kind"] != "gaussian":
             raise ConfigError("phase-space initial states must be gaussian")
-        return make_gaussian_phase_space(
-            self["state.x0"],
-            self["state.p0"],
-            self["state.sigma_x"],
-            self["state.sigma_p"],
-            self.build_grid(),
-        )
+        keys = ("state.x0", "state.p0", "state.sigma_x", "state.sigma_p")
+        grid = self.build_grid()
+        with self._state_keys(*keys):
+            return make_gaussian_phase_space(*(self[key] for key in keys), grid)
 
     def build_initial_density(self) -> DensityGrid:
         if self["state.kind"] == "gaussian":
             return xp_to_Qq(self.build_initial_xp())
-        return make_cat_density(
-            self.build_grid(),
-            self["state.separation"],
-            self["state.sigma_x"],
-            momentum=self["state.p0"],
-        )
+        grid = self.build_grid()
+        with self._state_keys("state.separation", "state.sigma_x", "state.p0"):
+            return make_cat_density(
+                grid,
+                self["state.separation"],
+                self["state.sigma_x"],
+                momentum=self["state.p0"],
+            )
 
     def build_evolver_config(self) -> EvolverConfig:
         dt = self["evolve.dt"]

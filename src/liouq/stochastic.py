@@ -37,7 +37,7 @@ from .evolvers import (
 )
 from .grids import DensityGrid, GridSpec, boundary_fraction
 from .potentials import Potential
-from .streams import check_seed, stream
+from .streams import check_seed, normal_rows, stream
 
 _MODES = ("quenched", "resampled")
 _BLOCK = 128  # realizations per accumulation block of the closed form
@@ -147,16 +147,28 @@ def _stepped_moments(f0, V, spec, M, cfg, mode):
     return times, mean, m2
 
 
+def _phase_minus_one(theta: np.ndarray) -> np.ndarray:
+    """exp(-i theta) - 1 without cancellation at small theta."""
+    return -2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta)
+
+
 def _closed_form_moments(f0, V, spec, M, cfg):
     """Quenched pure-phase ensemble without stepping (see ensemble_evolve).
 
     With u_k = exp(-i t dV_k) and b_k = u_k - 1, realization k at time t
     is f0 D w_k, where D(Q, q) = exp(-i t [v(Q) - v(q)]) and
-    w_k = u_k(Q) conj(u_k(q)).  Only realization sums of b, |b|^2 and
-    b(Q) conj(b(q)) are needed: the last is one matrix product per
-    record and block.  M2 is taken about the noise-free value w = 1,
-    using |w_k - 1| = |b_k(Q) - b_k(q)|, so its rounding error scales
-    with the spread instead of with |f0|^2.
+    w_k = u_k(Q) conj(u_k(q)).  Only realization sums of b and of
+    b(Q) conj(b(q)) are needed: the latter, ``pair``, is one matrix
+    product per record and block, and its real diagonal is the sum of
+    |b|^2.  M2 is taken about the noise-free value w = 1, using
+    |w_k - 1| = |b_k(Q) - b_k(q)|, so its rounding error scales with the
+    spread instead of with |f0|^2.
+
+    A block's rows b are stepped from record to record: u at step s + g
+    is u_s u_g, so b <- b + b_g + b b_g, where b_g is built once per
+    block and distinct record gap g.  The update never forms 1 + b, so
+    small phases keep their relative accuracy.  A block's noise rows
+    come from one pass over its streams (``streams.normal_rows``).
 
     Returns None, for the caller to step every realization instead, when
     f0's tail exceeds the limit (unit-modulus factors keep |f| elementwise,
@@ -169,21 +181,20 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     if boundary_fraction(f0.values) > cfg.tail_threshold:
         return None
     steps = sorted(_record_steps(cfg))
+    gaps = np.diff(steps, prepend=0)
     pair = np.zeros((len(steps), n, n), dtype=complex)
     first = np.zeros((len(steps), n), dtype=complex)
-    second = np.zeros((len(steps), n))
     for start in range(0, M, _BLOCK):
         ks = range(start, min(start + _BLOCK, M))
-        dv = np.array([next(_draws(profile, spec.seed, k)) for k in ks])
+        dv = profile * normal_rows(spec.seed, ks, n)
         if not np.all(np.isfinite(vx + dv)):
             return None
-        for r, step in enumerate(steps):
-            theta = (step * cfg.dt) * dv
-            # exp(-i theta) - 1 without cancellation at small theta
-            b = -2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta)
+        b_gap = {g: _phase_minus_one((g * cfg.dt) * dv) for g in set(gaps)}
+        b = np.zeros_like(dv, dtype=complex)
+        for r, g in enumerate(gaps):
+            b += b_gap[g] + b * b_gap[g]
             pair[r] += b.T @ b.conj()
             first[r] += b.sum(axis=0)
-            second[r] += (b.real**2 + b.imag**2).sum(axis=0)
 
     times = [f0.time] + [f0.time + step * cfg.dt for step in steps]
     mean = np.empty((len(times), n, n), dtype=complex)
@@ -195,7 +206,8 @@ def _closed_form_moments(f0, V, spec, M, cfg):
         d = np.exp(-1j * (step * cfg.dt) * vx)
         shift = (first[r][:, None] + first[r].conj()[None, :] + pair[r]) / M
         mean[r + 1] = f0.values * np.outer(d, d.conj()) * (1.0 + shift)
-        spread = second[r][:, None] + second[r][None, :] - 2.0 * pair[r].real
+        second = pair[r].real.diagonal()
+        spread = second[:, None] + second[None, :] - 2.0 * pair[r].real
         # non-negative in exact arithmetic (Cauchy-Schwarz); guard rounding
         m2[r + 1] = abs_f0_sq * np.maximum(spread - M * np.abs(shift) ** 2, 0.0)
         # dV(Q) - dV(Q) vanishes: the diagonal never moves
@@ -225,7 +237,11 @@ def ensemble_evolve(
     product of per-realization phase rows per recorded time.  The phase
     vanishes on the diagonal, which therefore keeps f0's values with
     zero error.  The realizations are accumulated in fixed-size blocks,
-    so memory does not grow with M.  Kinetic, time-dependent and
+    so memory does not grow with M.  A block draws its noise rows in
+    one pass over its streams and steps its phase rows from record to
+    record by the exact product u_{s+g} = u_s u_g; the sum of |b|^2 that
+    the error bars need is read off the diagonal of the matrix product
+    (see ``_closed_form_moments``).  Kinetic, time-dependent and
     resampled runs are stepped realization by realization, and so is a
     closed-form run whose initial tail is over the limit or whose phase
     is not finite: the stepper alone raises ``RealizationError``.

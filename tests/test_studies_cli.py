@@ -296,14 +296,44 @@ def test_cli_bad_option_value_is_config_error(tmp_path, capsys, command, args):
     assert "Traceback" not in err
 
 
+# the shipped spectrum_small.cfg: no state key, and the default packet
+# does not fit its grid
+SPECTRUM_SMALL = (
+    "grid.n = 16\ngrid.L = 6.0\npotential.kind = quartic\npotential.params.lam = 1.0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, keys",
+    [
+        ("evolve", SPECTRUM_SMALL, ("state.sigma_x", "grid.n", "grid.L")),
+        ("compare", SPECTRUM_SMALL, ("state.sigma_x", "grid.n", "grid.L")),
+        ("decohere", CAT.replace("state.separation = 4.0", "state.separation = 19.0"),
+         ("state.separation", "grid.L")),
+    ],
+    ids=["evolve_gaussian", "compare_gaussian", "decohere_cat"],
+)
+def test_cli_state_that_does_not_fit_is_config_error(tmp_path, capsys, command, text, keys):
+    rc = main([command, "--scenario", write(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    assert all(key in err for key in keys)
+    assert not (tmp_path / "out").exists()
+    # a study that builds no state still runs on the same file
+    if text is SPECTRUM_SMALL:
+        assert main(["spectrum", "--scenario", write(tmp_path, text),
+                     "--out", str(tmp_path / "specout")]) == 0
+
+
 # a quartic run whose packet reaches the box edge within a few steps
 EDGE_BOUND = """
 grid.n = 64
 grid.L = 8.0
 potential.kind = quartic
 potential.params.lam = 0.25
-state.x0 = 3.0
-evolve.dt = 0.01
+state.x0 = 2.5
+evolve.dt = 0.005
 evolve.t_final = 3.0
 """
 
@@ -313,8 +343,8 @@ evolve.t_final = 3.0
     [
         ("compare", EDGE_BOUND + "evolve.tail_threshold = NaN\n"),
         ("compare", EDGE_BOUND + "evolve.tail_threshold = 0\n"),
-        ("compare", EDGE_BOUND.replace("evolve.dt = 0.01", "evolve.dt = NaN")),
-        ("compare", EDGE_BOUND.replace("evolve.dt = 0.01", "evolve.dt = nan")),
+        ("compare", EDGE_BOUND.replace("evolve.dt = 0.005", "evolve.dt = NaN")),
+        ("compare", EDGE_BOUND.replace("evolve.dt = 0.005", "evolve.dt = nan")),
         ("compare", EDGE_BOUND.replace("lam = 0.25", "lam = Infinity")),
         ("compare", EDGE_BOUND.replace("grid.n = 64", "grid.n = Infinity")),
         ("compare", EDGE_BOUND.replace("potential.kind = quartic\npotential.params.lam = 0.25",
@@ -342,7 +372,9 @@ def test_cli_edge_bound_run_aborts_on_the_tail(tmp_path, capsys):
     rc = main(["compare", "--scenario", write(tmp_path, EDGE_BOUND),
                "--out", str(tmp_path / "out")])
     assert rc == 3
-    assert "runtime error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runtime error:" in err
+    assert "boundary tail fraction" in err
 
 
 def test_cli_seed_rejected_where_unused(tmp_path):

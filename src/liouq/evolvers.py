@@ -3,7 +3,10 @@
 Every engine runs one symmetric (Strang) splitting kernel, ``_strang``:
 a spectral kinetic half-step, a pointwise factor, a second kinetic
 half-step.  The second half-step of one step and the first of the next
-are fused into one full kinetic step, so a step costs one FFT pair.
+are fused into one full kinetic step, so a step costs one FFT pair.  The
+loop holds fixed n x n buffers and runs each 2-D transform as two 1-D
+passes in ``fft2``'s axis order, so its states are bit for bit those of
+``fft2``/``ifft2``.
 The engines differ only in the initial work array, the kinetic factor
 and the pointwise factor:
 
@@ -178,6 +181,33 @@ def _midpoint_phase(sample, build, time_dependent: bool, t0: float, dt: float):
     return phase
 
 
+def _pass_into(transform, a: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """One 1-D ``numpy.fft`` pass of ``a`` along ``axis``, written to ``out``."""
+    transform(a, axis=axis, out=out)
+
+
+def _pass_copied(transform, a: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """The same pass for NumPy < 2.0, whose ``numpy.fft`` has no ``out=``."""
+    out[...] = transform(a, axis=axis)
+
+
+_fft_pass = (
+    _pass_into if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else _pass_copied
+)
+
+
+def _fft2(a: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = fft2(a)`` through ``scratch``, in ``fft2``'s own axis order."""
+    _fft_pass(np.fft.fft, a, 1, scratch)
+    _fft_pass(np.fft.fft, scratch, 0, out)
+
+
+def _ifft2(a: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = ifft2(a)`` through ``scratch``; ``out`` may be ``a``."""
+    _fft_pass(np.fft.ifft, a, 1, scratch)
+    _fft_pass(np.fft.ifft, scratch, 0, out)
+
+
 def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Trajectory:
     """Run ``cfg.n_steps`` Strang steps on ``work`` and record a trajectory.
 
@@ -190,6 +220,11 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Traje
     K½ V K V K½): the state stays in Fourier space between pointwise
     factors, so a step costs one inverse and one forward transform, and
     the full-step state one more inverse transform, at records only.
+    The loop holds three fixed n x n buffers, position space ``work``,
+    ``spec`` and a transform scratch, and runs each 2-D transform as two
+    1-D passes in ``fft2``'s axis order, so the states are those of
+    ``fft2``/``ifft2`` bit for bit.  ``work`` is overwritten every step,
+    so ``snapshot`` must copy it.
 
     The tail monitor aborts the run once the boundary fraction exceeds
     ``tail_limit``.  It reads every step on the position-space array the
@@ -208,16 +243,20 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Traje
     diags = [diag(f0, boundary_fraction(work))]
     if kin_half is not None:
         kin = kin_half * kin_half
-        spec = np.fft.fft2(work) * kin_half
+        spec = np.empty_like(work)
+        scratch = np.empty_like(work)
+        _fft2(work, scratch, spec)
+        spec *= kin_half
     for step in range(1, cfg.n_steps + 1):
         if kin_half is not None:
-            work = np.fft.ifft2(spec)
+            _ifft2(spec, scratch, work)
         phase(work, step)
         recorded = step in record_at
         if kin_half is not None:
-            spec = np.fft.fft2(work)
+            _fft2(work, scratch, spec)
             if recorded:
-                work = np.fft.ifft2(spec * kin_half)
+                np.multiply(spec, kin_half, out=work)
+                _ifft2(work, scratch, work)
             spec *= kin
         if recorded or tail_limit is not None:
             tail = _check_tail(work, tail_limit, step)
@@ -268,6 +307,8 @@ def liouville_evolve_xp(
     )
 
     def snapshot(work: np.ndarray, t: float) -> PhaseSpaceDistribution:
+        # the copy is needed: XYGrid freezes the array it is given, and
+        # ``_strang`` overwrites ``work`` on the next step
         return xy_to_xp(XYGrid(grid, work.copy(), t))
 
     work = xp_to_xy(f0).values.copy()
@@ -305,6 +346,7 @@ def _strang_density(f0: DensityGrid, cfg, phase, tail_limit) -> Trajectory:
         cfg,
         _density_kinetic_half(grid, cfg),
         phase,
+        # a copy, as DensityGrid freezes its array and ``work`` is reused
         lambda work, t: DensityGrid(grid, work.copy(), t),
         _density_diag,
         tail_limit,
@@ -462,7 +504,8 @@ def dense_generator(v: Potential, small_grid: GridSpec):
     n = small_grid.n_points
     if n > DENSE_GRID_LIMIT:
         raise DomainError(
-            f"dense generator limited to {DENSE_GRID_LIMIT} points per axis"
+            f"{n} points per axis exceed the dense generator's limit "
+            f"of {DENSE_GRID_LIMIT}"
         )
     lap = _spectral_operator(small_grid, lambda k: -(k**2)).real
     h1 = -0.5 * lap + np.diag(v.value(small_grid.x))

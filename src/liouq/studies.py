@@ -379,7 +379,10 @@ def run_spectrum_study(scenario: Scenario):
     """Dense-generator eigenvalues and their symmetry defect."""
     grid = scenario.build_grid()
     v = scenario.build_potential()
-    _, eigenvalues = dense_generator(v, grid)
+    try:
+        _, eigenvalues = dense_generator(v, grid)
+    except DomainError as exc:
+        raise ConfigError(f"grid.n = {grid.n_points}: {exc}") from exc
     flipped = np.sort(-eigenvalues)
     defect = float(np.abs(np.sort(eigenvalues) - flipped).max())
     report = RunReport(

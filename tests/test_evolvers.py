@@ -224,10 +224,14 @@ def test_non_hermitian_initial_state_rejected(grid64):
         von_neumann_evolve(lq.DensityGrid(grid64, vals), Constant(0.0), cfg)
 
 
-def _abort_step(engine, f0, v, cfg) -> int:
+def _abort(engine, f0, v, cfg) -> BoundaryContaminationError:
     with pytest.raises(BoundaryContaminationError) as err:
         engine(f0, v, cfg)
-    return err.value.step
+    return err.value
+
+
+def _abort_step(engine, f0, v, cfg) -> int:
+    return _abort(engine, f0, v, cfg).step
 
 
 @pytest.mark.filterwarnings("ignore::liouq.evolvers.TimeStepWarning")
@@ -285,6 +289,38 @@ def _unfused_strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit):
     return evolvers.Trajectory(times, states, diags)
 
 
+def _fft2_strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit):
+    """Reference for the buffered ``_strang``: the same fused loop on
+    ``fft2``/``ifft2``, with the exact tail read on every step."""
+    evolvers._check_dt_guard(cfg, f0.grid)
+    record_at = evolvers._record_steps(cfg)
+    times = [f0.time]
+    states: list = [f0]
+    diags = [diag(f0, boundary_fraction(work))]
+    if kin_half is not None:
+        kin = kin_half * kin_half
+        spec = np.fft.fft2(work) * kin_half
+    for step in range(1, cfg.n_steps + 1):
+        if kin_half is not None:
+            work = np.fft.ifft2(spec)
+        phase(work, step)
+        recorded = step in record_at
+        if kin_half is not None:
+            spec = np.fft.fft2(work)
+            if recorded:
+                work = np.fft.ifft2(spec * kin_half)
+            spec *= kin
+        if recorded or tail_limit is not None:
+            tail = evolvers._check_tail(work, tail_limit, step)
+        if recorded:
+            t = f0.time + step * cfg.dt
+            state = snapshot(work, t)
+            times.append(t)
+            states.append(state)
+            diags.append(diag(state, tail))
+    return evolvers.Trajectory(times, states, diags)
+
+
 def _switched_linear():
     # switches between midpoints of the dt = 0.004 steps below
     return Linear(step_schedule([[0.0, 0.8], [0.031, -0.5], [0.071, 0.0]]), 0.2)
@@ -309,20 +345,29 @@ def _run_engine(name, v, grid, cfg):
     return traj.times, traj.states, traj.diagnostics
 
 
+def _with_reference(kernel, name, v, grid, cfg, monkeypatch):
+    """``_run_engine`` as is, and with ``kernel`` patched in for ``_strang``."""
+    run = _run_engine(name, v, grid, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(evolvers, "_strang", kernel)
+        return run, _run_engine(name, v, grid, cfg)
+
+
+# 7 does not divide 25: the final record comes off the cadence.  White
+# noise factors are not smooth, and the kinetic steps ring them out to the
+# edges, so the threshold only guards against a blow-up here.
+ORACLE_CFG = EvolverConfig(dt=0.004, n_steps=25, record_every=7, tail_threshold=1e-2)
+
+
 @pytest.mark.parametrize("v", [Quartic(0.25), _switched_linear()],
                          ids=["quartic", "switched_linear"])
 @pytest.mark.parametrize(
     "name", ["xp", "von_neumann", "qq", "lindblad", "quenched", "resampled"]
 )
 def test_fused_kernel_matches_unfused_oracle(grid64, monkeypatch, name, v):
-    # 7 does not divide 25: the final record comes off the cadence.  White
-    # noise factors are not smooth, and the kinetic steps ring them out
-    # to the edges, so the threshold only guards against a blow-up here.
-    cfg = EvolverConfig(dt=0.004, n_steps=25, record_every=7, tail_threshold=1e-2)
-    times, states, diags = _run_engine(name, v, grid64, cfg)
-    with monkeypatch.context() as m:
-        m.setattr(evolvers, "_strang", _unfused_strang)
-        ref_times, ref_states, ref_diags = _run_engine(name, v, grid64, cfg)
+    (times, states, diags), (ref_times, ref_states, ref_diags) = _with_reference(
+        _unfused_strang, name, v, grid64, ORACLE_CFG, monkeypatch
+    )
     assert times == ref_times
     assert len(states) == len(ref_states)
     for a, b in zip(states, ref_states):
@@ -333,6 +378,102 @@ def test_fused_kernel_matches_unfused_oracle(grid64, monkeypatch, name, v):
         assert d.keys() == ref.keys()
         for key in d:
             assert abs(d[key] - ref[key]) <= 1e-12 * max(abs(ref[key]), 1.0)
+
+
+@pytest.mark.parametrize("v", [Quartic(0.25), _switched_linear()],
+                         ids=["quartic", "switched_linear"])
+@pytest.mark.parametrize(
+    "name", ["xp", "von_neumann", "qq", "lindblad", "quenched", "resampled"]
+)
+def test_buffered_kernel_is_fft2_loop_bit_for_bit(grid64, monkeypatch, name, v):
+    # per-axis transforms into fixed buffers run fft2's own passes in its
+    # order, so nothing may differ in a single bit.  The dense path is held
+    # off, so that every engine steps.
+    monkeypatch.setattr(evolvers, "_MIN_DENSE_GAP", ORACLE_CFG.n_steps + 1)
+    (times, states, diags), (ref_times, ref_states, ref_diags) = _with_reference(
+        _fft2_strang, name, v, grid64, ORACLE_CFG, monkeypatch
+    )
+    assert times == ref_times
+    assert len(states) == len(ref_states)
+    for a, b in zip(states, ref_states):
+        assert np.array_equal(getattr(a, "values", a), getattr(b, "values", b))
+    assert diags == ref_diags
+
+
+@pytest.mark.parametrize("fft_pass", [evolvers._fft_pass, evolvers._pass_copied],
+                         ids=["selected", "copied"])
+def test_per_axis_transforms_are_fft2_bit_for_bit(monkeypatch, fft_pass):
+    # "copied" is the pass NumPy < 2.0 runs, as its numpy.fft has no out=
+    monkeypatch.setattr(evolvers, "_fft_pass", fft_pass)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    scratch, out = np.empty_like(a), np.empty_like(a)
+    evolvers._fft2(a, scratch, out)
+    assert np.array_equal(out, np.fft.fft2(a))
+    evolvers._ifft2(out, scratch, out)
+    assert np.array_equal(out, np.fft.ifft2(np.fft.fft2(a)))
+
+
+def _oracle_tails(engine, f0, v, cfg, monkeypatch) -> dict:
+    """Step -> the exact tail the ``fft2`` oracle reads on that step."""
+    tails, real = {}, evolvers._check_tail
+
+    def logged(work, limit, step):
+        tails[step] = boundary_fraction(work)
+        return real(work, limit, step)
+
+    with monkeypatch.context() as m:
+        m.setattr(evolvers, "_strang", _fft2_strang)
+        m.setattr(evolvers, "_check_tail", logged)
+        engine(f0, v, cfg)
+    return tails
+
+
+@pytest.mark.filterwarnings("ignore::liouq.evolvers.TimeStepWarning")
+def test_abort_step_and_fraction_are_the_exact_monitors(grid64, monkeypatch):
+    # the setups of test_boundary_contamination_raises_with_step, all stepped
+    monkeypatch.setattr(evolvers, "_MIN_DENSE_GAP", 401)
+    fast = make_gaussian_phase_space(4.0, 2.0, 0.5, 0.5, grid64)
+    slow = make_gaussian_phase_space(0.0, 1.0, SIGMA, SIGMA, grid64)
+    runs = [(liouville_evolve_xp, fast, Constant(0.0), 0.01)]
+    runs += [
+        (engine, state, v, 0.005)
+        for engine, state in ((liouville_evolve_xp, slow),
+                              (von_neumann_evolve, xp_to_Qq(slow)))
+        for v in (Constant(0.0), Quartic(0.25))
+    ]
+    for engine, f0, v, dt in runs:
+        unlimited = EvolverConfig(dt=dt, n_steps=400, record_every=400,
+                                  tail_threshold=1.0)
+        tails = _oracle_tails(engine, f0, v, unlimited, monkeypatch)
+        # a non-record step on the rising tail
+        probe = min(step for step, tail in tails.items() if tail > 1e-8)
+        assert 1 < probe < 400
+        for factor in (1 - 1e-9, 1 + 1e-9, 0.75):
+            limited = EvolverConfig(dt=dt, n_steps=400, record_every=400,
+                                    tail_threshold=tails[probe] * factor)
+            with monkeypatch.context() as m:
+                m.setattr(evolvers, "_strang", _fft2_strang)
+                oracle = _abort(engine, f0, v, limited)
+            err = _abort(engine, f0, v, limited)
+            assert (err.step, err.fraction) == (oracle.step, oracle.fraction)
+            assert oracle.step <= probe or factor > 1
+
+
+def test_zero_state_and_zero_frame_never_abort(grid64):
+    n = grid64.n_points
+    zero = np.zeros((n, n), dtype=complex)
+    tiny = dict(dt=0.004, n_steps=20, record_every=20, tail_threshold=1e-300)
+    traj = _stepped(lq.DensityGrid(grid64, zero), Quartic(0.25), None,
+                    EvolverConfig(**tiny))
+    assert np.array_equal(traj.states[-1].values, zero)
+    # frozen kinetic term: a pointwise phase keeps a zero frame at zero
+    framed = _packet(grid64).values.copy()
+    framed[[0, -1], :] = 0.0
+    framed[:, [0, -1]] = 0.0
+    cfg = EvolverConfig(include_kinetic=False, **tiny)
+    traj = _stepped(lq.DensityGrid(grid64, framed), Quartic(0.25), None, cfg)
+    assert [d["boundary_fraction"] for d in traj.diagnostics] == [0.0, 0.0]
 
 
 def test_midpoint_phase_cache_equals_rebuild(grid64):

@@ -266,6 +266,17 @@ def test_cli_segcheck_and_spectrum(tmp_path):
     assert (tmp_path / "specout" / "spectrum.csv").exists()
 
 
+def test_cli_spectrum_grid_above_dense_limit_is_config_error(tmp_path, capsys):
+    spec = write(tmp_path, "grid.n = 64\ngrid.L = 6.0\npotential.kind = harmonic\n"
+                           "potential.params.omega = 1.0\n", "spec.cfg")
+    rc = main(["spectrum", "--scenario", spec, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    assert "grid.n = 64" in err and "limit of 32" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = write(tmp_path, "grid.n = 64\nbanana = 1\n", "bad.cfg")
     rc = main(["compare", "--scenario", bad, "--out", str(tmp_path / "out")])

@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="noisy ensemble vs dissipative stepper")
     decohere.add_argument("--scenario", required=True)
     decohere.add_argument("--realizations", type=int)
-    decohere.add_argument("--mode", choices=("quenched", "resampled"))
 
     void = sub.add_parser("void", parents=[common, seeded],
                           help="sprinkled-void emptiness statistics")
@@ -101,9 +100,7 @@ def _run_study(args, scenario):
     if args.command == "decohere":
         if args.seed is not None:
             scenario = Scenario({**scenario.settings, "noise.seed": args.seed})
-        return studies.run_decoherence_study(
-            scenario, realizations=args.realizations, mode=args.mode
-        )
+        return studies.run_decoherence_study(scenario, realizations=args.realizations)
     if args.command == "void":
         return studies.run_void_study(
             args.dr,

@@ -72,7 +72,6 @@ SCHEMA = {
     "evolve.include_kinetic": ("bool", True),
     "noise.nu0": ("float", 1.0),
     "noise.seed": ("int", 12345),
-    "noise.mode": ("str", "quenched"),
     "ensemble.realizations": ("int", 1000),
     "probes": ("list", None),
     "output.dir": ("str", None),
@@ -293,8 +292,6 @@ def _validate(mapping: dict) -> dict:
         raise ConfigError(f"state.kind must be one of {_STATE_KINDS}")
     if settings["evolve.engine"] not in _ENGINES:
         raise ConfigError(f"evolve.engine must be one of {_ENGINES}")
-    if settings["noise.mode"] not in ("quenched", "resampled"):
-        raise ConfigError("noise.mode must be 'quenched' or 'resampled'")
     if settings["evolve.dt"] <= 0:
         raise ConfigError("evolve.dt must be positive")
     if settings["evolve.t_final"] <= 0:

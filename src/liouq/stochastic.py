@@ -39,7 +39,6 @@ from .grids import DensityGrid, GridSpec, boundary_fraction
 from .potentials import Potential
 from .streams import check_seed, normal_rows, stream
 
-_MODES = ("quenched", "resampled")
 _BLOCK = 128  # realizations per accumulation block of the closed form
 
 
@@ -71,16 +70,14 @@ class NoiseSpec:
         return prof
 
 
-def _draws(profile: np.ndarray, seed: int, k: int):
-    """Successive fields of stream ``(seed, k)``: independent cells, std profile."""
-    rng = stream(seed, k)
-    while True:
-        yield profile * rng.standard_normal(profile.size)
+def _draw(profile: np.ndarray, seed: int, k: int) -> np.ndarray:
+    """The field of stream ``(seed, k)``: independent cells, std profile."""
+    return profile * stream(seed, k).standard_normal(profile.size)
 
 
 def sample_noise(spec: NoiseSpec, grid: GridSpec, k: int) -> np.ndarray:
     """Draw realization ``k``'s field dV(x): independent cells, mean 0, std nu(x)."""
-    return next(_draws(spec.nu_on_grid(grid), spec.seed, k))
+    return _draw(spec.nu_on_grid(grid), spec.seed, k)
 
 
 @dataclass
@@ -88,7 +85,6 @@ class EnsembleReport:
     """Averaged states and per-element standard errors per recorded time."""
 
     n_realizations: int
-    mode: str
     seed: int
     times: List[float]
     mean_states: List[DensityGrid]
@@ -102,24 +98,8 @@ class EnsembleReport:
                 raise DomainError("standard errors cannot be negative")
 
 
-def _resampled_evolve(
-    f0: DensityGrid, V: Potential, draws, cfg: EvolverConfig
-) -> Trajectory:
-    # Exploratory mode: each step takes the potential phase of V, then the
-    # phase of a fresh field from ``draws`` instead of one static draw per
-    # realization.  The decay it produces depends on dt.
-    potential = _potential_phase(f0, V, cfg)
-
-    def phase(work: np.ndarray, step: int) -> None:
-        potential(work, step)
-        dv = next(draws)
-        work *= np.exp(-1j * cfg.dt * (dv[:, None] - dv[None, :]))
-
-    return _strang_density(f0, cfg, phase, cfg.tail_threshold)
-
-
-def _stepped_moments(f0, V, spec, M, cfg, mode):
-    """Step every realization; running mean and M2 per recorded time.
+def _stepped_moments(f0, V, spec, M, cfg):
+    """Step every quenched realization; running mean and M2 per recorded time.
 
     Welford's update keeps M2 a sum of squared deviations from the
     running mean, so no cancellation-prone E[x^2] - mean^2 is formed.
@@ -127,13 +107,9 @@ def _stepped_moments(f0, V, spec, M, cfg, mode):
     profile = spec.nu_on_grid(f0.grid)
     mean = m2 = times = None
     for k in range(M):
-        draws = _draws(profile, spec.seed, k)
+        dv = _draw(profile, spec.seed, k)
         try:
-            if mode == "quenched":
-                dv = next(draws)
-                traj = _evolve_density(f0, V, dv[:, None] - dv[None, :], cfg)
-            else:
-                traj = _resampled_evolve(f0, V, draws, cfg)
+            traj = _evolve_density(f0, V, dv[:, None] - dv[None, :], cfg)
         except Exception as exc:  # annotate with the realization index
             raise RealizationError(k, exc) from exc
         if mean is None:
@@ -222,7 +198,6 @@ def ensemble_evolve(
     spec: NoiseSpec,
     M: int,
     cfg: EvolverConfig,
-    mode: str = "quenched",
 ) -> EnsembleReport:
     """Average M noisy commutator evolutions of the same initial state.
 
@@ -241,25 +216,22 @@ def ensemble_evolve(
     one pass over its streams and steps its phase rows from record to
     record by the exact product u_{s+g} = u_s u_g; the sum of |b|^2 that
     the error bars need is read off the diagonal of the matrix product
-    (see ``_closed_form_moments``).  Kinetic, time-dependent and
-    resampled runs are stepped realization by realization, and so is a
-    closed-form run whose initial tail is over the limit or whose phase
-    is not finite: the stepper alone raises ``RealizationError``.
+    (see ``_closed_form_moments``).  Kinetic and time-dependent runs
+    are stepped realization by realization, and so is a closed-form run
+    whose initial tail is over the limit or whose phase is not finite:
+    the stepper alone raises ``RealizationError``.
     """
     if M < 2:
         raise ConfigError("need M >= 2 realizations for error bars")
-    if mode not in _MODES:
-        raise ConfigError(f"unknown ensemble mode {mode!r}")
     moments = None
-    if mode == "quenched" and not cfg.include_kinetic and not V.time_dependent:
+    if not cfg.include_kinetic and not V.time_dependent:
         moments = _closed_form_moments(f0, V, spec, M, cfg)
     if moments is None:
-        moments = _stepped_moments(f0, V, spec, M, cfg, mode)
+        moments = _stepped_moments(f0, V, spec, M, cfg)
     times, mean, m2 = moments
     stderr = np.sqrt(m2 / ((M - 1) * M))
     return EnsembleReport(
         n_realizations=M,
-        mode=mode,
         seed=spec.seed,
         times=list(times),
         mean_states=[DensityGrid(f0.grid, mean[i], t) for i, t in enumerate(times)],

@@ -234,14 +234,13 @@ def _default_probes(scenario: Scenario, grid):
     return [(center, off), (center, center)]
 
 
-def run_decoherence_study(scenario: Scenario, realizations=None, mode=None):
+def run_decoherence_study(scenario: Scenario, realizations=None):
     """Noisy-ensemble decay versus the dissipative stepper and closed form."""
     grid = scenario.build_grid()
     v = scenario.build_potential() if scenario["potential.kind"] else Constant(0.0)
     cfg = scenario.build_evolver_config()
     spec = scenario.build_noise_spec()
     M = realizations if realizations is not None else scenario["ensemble.realizations"]
-    mode = mode if mode is not None else scenario["noise.mode"]
     f0 = scenario.build_initial_density()
     probes = _default_probes(scenario, grid)
 
@@ -251,19 +250,12 @@ def run_decoherence_study(scenario: Scenario, realizations=None, mode=None):
         seeds={"noise": spec.seed},
     )
 
-    quenched = mode == "quenched"
-    ensemble = ensemble_evolve(f0, v, spec, M, cfg, mode=mode)
+    ensemble = ensemble_evolve(f0, v, spec, M, cfg)
     stepped = lindblad_evolve(f0, v, spec, cfg)
     comparison = compare_ensemble_vs_lindblad(ensemble, stepped, spec)
-    report.metrics["mode"] = mode
     report.metrics["comparison_max_z"] = comparison["max_z"]
     report.metrics["comparison_exceed_fraction"] = comparison["exceed_fraction"]
-    if quenched:
-        # the stepper approximates the quenched average; the resampled
-        # mode follows a different law and is reported without gating
-        report.add_check(
-            "ensemble_vs_stepper", float(comparison["pass"]), 1.0, ">="
-        )
+    report.add_check("ensemble_vs_stepper", float(comparison["pass"]), 1.0, ">=")
 
     nu = spec.nu_on_grid(grid)
     times = np.asarray(ensemble.times[1:])
@@ -288,12 +280,11 @@ def run_decoherence_study(scenario: Scenario, realizations=None, mode=None):
             "stderr": errs.tolist(),
         }
         if i == j:
-            if quenched:
-                flat = float(np.abs(mags - ref).max())
-                report.add_check(f"diagonal_probe_{idx}_flat", flat, 1e-12)
+            flat = float(np.abs(mags - ref).max())
+            report.add_check(f"diagonal_probe_{idx}_flat", flat, 1e-12)
             continue
         rate = 0.5 * (nu[i] ** 2 + nu[j] ** 2)
-        if quenched and ref > 0 and rate > 0 and hamiltonian_off:
+        if ref > 0 and rate > 0 and hamiltonian_off:
             fitted = fit_decay_exponent(times, mags, ref, errs)
             ratio = fitted / rate
             report.metrics[f"probe_{idx}_fit_ratio"] = ratio

@@ -340,7 +340,7 @@ def _run_engine(name, v, grid, cfg):
     elif name == "lindblad":
         traj = lindblad_evolve(rho, v, NoiseSpec(nu), cfg)
     else:
-        rep = ensemble_evolve(rho, v, NoiseSpec(nu, seed=4), 3, cfg, mode=name)
+        rep = ensemble_evolve(rho, v, NoiseSpec(nu, seed=4), 3, cfg)
         return rep.times, rep.mean_states + rep.stderr, []
     return traj.times, traj.states, traj.diagnostics
 
@@ -361,9 +361,7 @@ ORACLE_CFG = EvolverConfig(dt=0.004, n_steps=25, record_every=7, tail_threshold=
 
 @pytest.mark.parametrize("v", [Quartic(0.25), _switched_linear()],
                          ids=["quartic", "switched_linear"])
-@pytest.mark.parametrize(
-    "name", ["xp", "von_neumann", "qq", "lindblad", "quenched", "resampled"]
-)
+@pytest.mark.parametrize("name", ["xp", "von_neumann", "qq", "lindblad", "quenched"])
 def test_fused_kernel_matches_unfused_oracle(grid64, monkeypatch, name, v):
     (times, states, diags), (ref_times, ref_states, ref_diags) = _with_reference(
         _unfused_strang, name, v, grid64, ORACLE_CFG, monkeypatch
@@ -382,9 +380,7 @@ def test_fused_kernel_matches_unfused_oracle(grid64, monkeypatch, name, v):
 
 @pytest.mark.parametrize("v", [Quartic(0.25), _switched_linear()],
                          ids=["quartic", "switched_linear"])
-@pytest.mark.parametrize(
-    "name", ["xp", "von_neumann", "qq", "lindblad", "quenched", "resampled"]
-)
+@pytest.mark.parametrize("name", ["xp", "von_neumann", "qq", "lindblad", "quenched"])
 def test_buffered_kernel_is_fft2_loop_bit_for_bit(grid64, monkeypatch, name, v):
     # per-axis transforms into fixed buffers run fft2's own passes in its
     # order, so nothing may differ in a single bit.  The dense path is held
@@ -589,8 +585,7 @@ def test_stepped_inputs_keep_the_kernel(grid64, monkeypatch, case):
     elif case == "kinetic_off":
         von_neumann_evolve(rho, Harmonic(1.0), cfg)
     else:
-        ensemble_evolve(rho, Harmonic(1.0), NoiseSpec(0.5, seed=4), 2, cfg,
-                        mode="quenched")
+        ensemble_evolve(rho, Harmonic(1.0), NoiseSpec(0.5, seed=4), 2, cfg)
     assert len(calls) == (2 if case == "quenched_noise" else 1)
     assert all(c.n_steps == cfg.n_steps for c in calls)
 

@@ -1,6 +1,7 @@
 """Scenario parsing, validation, defaulting, hashing."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from liouq import (
 )
 from liouq.errors import ConfigError
 from liouq.potentials import Linear
-from liouq.scenario import parse_scenario_text
+from liouq.scenario import SCHEMA, parse_scenario_text
 
 MINIMAL = """
 potential.kind = harmonic
@@ -41,8 +42,9 @@ def test_missing_required_parameter_names_the_key():
 
 
 def test_unknown_key_rejected_with_line():
-    with pytest.raises(ConfigError, match="line 2.*banana"):
-        parse_scenario_text("grid.n = 64\nbanana = 1\n")
+    for line, key in [("banana = 1", "banana"), ("noise.mode = quenched", "noise.mode")]:
+        with pytest.raises(ConfigError, match=f"line 2.*{re.escape(key)}"):
+            parse_scenario_text(f"grid.n = 64\n{line}\n")
 
 
 def test_duplicate_key_rejected():
@@ -166,3 +168,21 @@ def test_scenarios_are_shipped():
     assert {p.stem for p in SCENARIOS} >= {
         "cat_decoherence", "harmonic_equivalence", "quartic_divergence", "spectrum_small"
     }
+
+
+def _readme_scenario_keys() -> set:
+    """Keys named in the first column of README.md's scenario-key table."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    keys = set()
+    for line in lines[lines.index("| key | default | meaning |") + 2:]:
+        if not line.startswith("|"):
+            break
+        for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            # `potential.params.c/a` names potential.params.c and potential.params.a
+            stem, dot, last = name.rpartition(".")
+            keys.update(stem + dot + leaf for leaf in last.split("/"))
+    return keys
+
+
+def test_readme_key_table_names_exactly_the_schema():
+    assert _readme_scenario_keys() == set(SCHEMA)

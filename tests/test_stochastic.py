@@ -140,7 +140,7 @@ def test_ensemble_zero_noise_reduces_to_vonneumann():
 def stepped_oracle(f0, V, spec, M, cfg):
     from liouq.stochastic import _stepped_moments
 
-    times, mean, m2 = _stepped_moments(f0, V, spec, M, cfg, "quenched")
+    times, mean, m2 = _stepped_moments(f0, V, spec, M, cfg)
     return times, mean, np.sqrt(m2 / ((M - 1) * M))
 
 
@@ -348,12 +348,11 @@ def test_lindblad_zero_noise_is_vonneumann(v):
     assert np.abs(a.states[-1].values - b.states[-1].values).max() <= 1e-12
 
 
-def test_resampled_zero_noise_follows_time_dependent_potential():
+def test_zero_noise_ensemble_follows_time_dependent_potential():
     cat = make_cat_density(GridSpec(48, 10.0), 4.0, 0.7)
     cfg = EvolverConfig(dt=0.01, n_steps=20, record_every=20)
     v = switched_force()
-    rep = ensemble_evolve(cat, v, NoiseSpec(nu=0.0, seed=1), 2, cfg,
-                          mode="resampled")
+    rep = ensemble_evolve(cat, v, NoiseSpec(nu=0.0, seed=1), 2, cfg)
     traj = von_neumann_evolve(cat, v, cfg)
     assert np.abs(rep.mean_states[-1].values - traj.states[-1].values).max() <= 1e-12
 
@@ -450,26 +449,11 @@ def test_compare_rejects_mismatched_records(cat):
             compare_ensemble_vs_lindblad(rep, traj, spec)
 
 
-def test_resampled_mode_decays_slower_per_unit_time(cat, grid):
-    # exploratory per-step redraw: step-to-step phases average out, so the
-    # decay depends on dt; just exercise determinism and basic behaviour
-    spec = NoiseSpec(nu=1.0, seed=8)
-    cfg = EvolverConfig(dt=0.1, n_steps=10, record_every=10, include_kinetic=False)
-    rep1 = ensemble_evolve(cat, Constant(0.0), spec, 50, cfg, mode="resampled")
-    rep2 = ensemble_evolve(cat, Constant(0.0), spec, 50, cfg, mode="resampled")
-    assert np.array_equal(rep1.mean_states[-1].values, rep2.mean_states[-1].values)
-    i, j = probe_indices(grid)
-    quenched_ratio = np.exp(-0.5)  # quenched law at t = 1
-    resampled_ratio = abs(rep1.mean_states[-1].values[i, j]) / abs(cat.values[i, j])
-    assert resampled_ratio > quenched_ratio
-
-
-def test_resampled_mode_has_dt_guard_and_tail_abort(grid):
+def test_stepped_ensemble_has_dt_guard_and_tail_abort(grid):
     flat = DensityGrid(grid, np.ones((grid.n_points, grid.n_points)))
     cfg = EvolverConfig(dt=0.1, n_steps=2)  # above the kinetic guard here
     with pytest.warns(TimeStepWarning), pytest.raises(RealizationError) as err:
-        ensemble_evolve(flat, Constant(0.0), NoiseSpec(nu=1.0), 2, cfg,
-                        mode="resampled")
+        ensemble_evolve(flat, Constant(0.0), NoiseSpec(nu=1.0), 2, cfg)
     assert err.value.index == 0
     assert isinstance(err.value.__cause__, BoundaryContaminationError)
     assert err.value.__cause__.step == 1

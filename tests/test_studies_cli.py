@@ -110,15 +110,6 @@ def test_decoherence_zero_noise_no_decay():
     assert abs(probe["abs_f"][-1] - probe["abs_f"][0]) <= 1e-10
 
 
-def test_decoherence_resampled_mode_reports_without_law_checks():
-    report, curves = run_decoherence_study(
-        scenario_from_text(CAT), realizations=20, mode="resampled"
-    )
-    assert report.metrics["mode"] == "resampled"
-    assert "ensemble_vs_stepper" not in report.checks
-    assert 0 in curves["decay_probes"]
-
-
 def test_evolve_and_equivalence_report_the_same_drift():
     scenario = scenario_from_text(HARMONIC)
     evolved, _ = run_evolve_study(scenario, engine="vonneumann")
@@ -230,7 +221,7 @@ def test_cli_evolve_emits_snapshots(tmp_path, engine):
 
 def test_cli_decohere(tmp_path):
     rc = main(["decohere", "--scenario", write(tmp_path, CAT),
-               "--realizations", "400", "--mode", "quenched",
+               "--realizations", "400",
                "--out", str(tmp_path / "out")])
     assert rc == 0
     assert (tmp_path / "out" / "decay_probe_0.csv").exists()
@@ -392,6 +383,15 @@ def test_cli_seed_rejected_where_unused(tmp_path):
     # compare, evolve and spectrum draw no random numbers
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--scenario", write(tmp_path, HARMONIC), "--seed", "3",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_decohere_has_no_mode_option(tmp_path):
+    # quenched noise is the only model, so decohere has no option to choose one
+    with pytest.raises(SystemExit) as exc:
+        main(["decohere", "--scenario", write(tmp_path, CAT), "--mode", "quenched",
               "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert not (tmp_path / "out").exists()

@@ -19,11 +19,11 @@ def main() -> int:
     print(f"{'dr':>6} {'bare':>12} {'exact':>12} {'empirical':>12} {'stderr':>10}")
     ok = True
     for dr in args.radii:
-        report, curves = run_void_study(dr, trials=args.trials, seed=args.seed)
-        est = curves["void"]
+        report, _ = run_void_study(dr, trials=args.trials, seed=args.seed)
+        m = report.metrics
         print(
-            f"{dr:6.2f} {est.analytic_bare:12.6f} {est.analytic_exact:12.6f} "
-            f"{est.empirical:12.6f} {est.stderr:10.6f}"
+            f"{dr:6.2f} {m['analytic_bare']:12.6f} {m['analytic_exact']:12.6f} "
+            f"{m['empirical']:12.6f} {m['stderr']:10.6f}"
         )
         ok &= report.checks["empirical_vs_exact"].passed
     print("PASS" if ok else "FAIL", "empirical within 3 sigma of the exact law")

@@ -98,9 +98,10 @@ def _run_study(args, scenario):
     if args.command == "compare":
         return studies.run_equivalence_study(scenario)
     if args.command == "decohere":
-        if args.seed is not None:
-            scenario = Scenario({**scenario.settings, "noise.seed": args.seed})
-        return studies.run_decoherence_study(scenario, realizations=args.realizations)
+        # each option given overrides its scenario key, so the hash covers it
+        overrides = {"noise.seed": args.seed, "ensemble.realizations": args.realizations}
+        settings = {k: v for k, v in overrides.items() if v is not None}
+        return studies.run_decoherence_study(Scenario({**scenario.settings, **settings}))
     if args.command == "void":
         return studies.run_void_study(
             args.dr,

@@ -181,31 +181,16 @@ def _midpoint_phase(sample, build, time_dependent: bool, t0: float, dt: float):
     return phase
 
 
-def _pass_into(transform, a: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """One 1-D ``numpy.fft`` pass of ``a`` along ``axis``, written to ``out``."""
-    transform(a, axis=axis, out=out)
-
-
-def _pass_copied(transform, a: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """The same pass for NumPy < 2.0, whose ``numpy.fft`` has no ``out=``."""
-    out[...] = transform(a, axis=axis)
-
-
-_fft_pass = (
-    _pass_into if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else _pass_copied
-)
-
-
 def _fft2(a: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
     """``out[:] = fft2(a)`` through ``scratch``, in ``fft2``'s own axis order."""
-    _fft_pass(np.fft.fft, a, 1, scratch)
-    _fft_pass(np.fft.fft, scratch, 0, out)
+    np.fft.fft(a, axis=1, out=scratch)
+    np.fft.fft(scratch, axis=0, out=out)
 
 
 def _ifft2(a: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
     """``out[:] = ifft2(a)`` through ``scratch``; ``out`` may be ``a``."""
-    _fft_pass(np.fft.ifft, a, 1, scratch)
-    _fft_pass(np.fft.ifft, scratch, 0, out)
+    np.fft.ifft(a, axis=1, out=scratch)
+    np.fft.ifft(scratch, axis=0, out=out)
 
 
 def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Trajectory:

@@ -2,9 +2,11 @@
 decoherence, void, segment and spectrum studies.
 
 Each study returns a :class:`RunReport` whose checks carry the violated
-threshold and the observed value on failure, plus a curves dictionary.
-:func:`emit_outputs` is the one writer: it turns both into
-``summary.json``, CSV/gnuplot tables, state files and an index.
+threshold and the observed value on failure, plus a curves dictionary
+``{"tables": {stem: {column: values}}, "snapshots": {stem: state}}``
+(either key may be absent).  :func:`emit_outputs` is the one writer: it
+turns both into ``summary.json``, CSV/gnuplot tables, state files and an
+index, and knows no study's stems or columns.
 """
 
 from __future__ import annotations
@@ -157,15 +159,11 @@ def run_equivalence_study(scenario: Scenario):
             [s.values for s in quantum.states],
         ),
     }
-    distances = {}
+    tables = {}
     for name, (seq_a, seq_b) in pairs.items():
-        maxnorm = []
-        l2 = []
-        for a, b in zip(seq_a, seq_b):
-            m, l = _pairwise_distance(a, b, grid.spacing)
-            maxnorm.append(m)
-            l2.append(l)
-        distances[name] = {"maxnorm": maxnorm, "l2": l2}
+        rows = [_pairwise_distance(a, b, grid.spacing) for a, b in zip(seq_a, seq_b)]
+        maxnorm, l2 = (list(col) for col in zip(*rows))
+        tables[f"distance_{name}"] = {"t": times, "maxnorm": maxnorm, "l2": l2}
 
     report = RunReport(
         study="equivalence",
@@ -176,9 +174,9 @@ def run_equivalence_study(scenario: Scenario):
         report.metrics[name] = drift
         report.add_check(name, drift, DRIFT_TOL)
 
-    cv = distances["classical_vs_vonneumann"]["maxnorm"]
+    cv = tables["distance_classical_vs_vonneumann"]["maxnorm"]
     if v.harmonic_order:
-        worst = max(max(d["maxnorm"]) for d in distances.values())
+        worst = max(max(table["maxnorm"]) for table in tables.values())
         report.metrics["max_pairwise_distance"] = worst
         report.add_check("pairwise_distance", worst, EQUIVALENCE_TOL)
     else:
@@ -192,8 +190,7 @@ def run_equivalence_study(scenario: Scenario):
         report.metrics["final_distance"] = cv[-1]
 
     curves = {
-        "times": times,
-        "distances": distances,
+        "tables": tables,
         "snapshots": {
             "state_classical_final": classical.states[-1],
             "state_vonneumann_final": quantum.states[-1],
@@ -234,13 +231,16 @@ def _default_probes(scenario: Scenario, grid):
     return [(center, off), (center, center)]
 
 
-def run_decoherence_study(scenario: Scenario, realizations=None):
-    """Noisy-ensemble decay versus the dissipative stepper and closed form."""
+def run_decoherence_study(scenario: Scenario):
+    """Noisy-ensemble decay versus the dissipative stepper and closed form.
+
+    The ensemble size is the scenario's ``ensemble.realizations``.
+    """
     grid = scenario.build_grid()
     v = scenario.build_potential() if scenario["potential.kind"] else Constant(0.0)
     cfg = scenario.build_evolver_config()
     spec = scenario.build_noise_spec()
-    M = realizations if realizations is not None else scenario["ensemble.realizations"]
+    M = scenario["ensemble.realizations"]
     f0 = scenario.build_initial_density()
     probes = _default_probes(scenario, grid)
 
@@ -259,7 +259,7 @@ def run_decoherence_study(scenario: Scenario, realizations=None):
 
     nu = spec.nu_on_grid(grid)
     times = np.asarray(ensemble.times[1:])
-    probe_curves = {}
+    tables = {}
     hamiltonian_off = (not cfg.include_kinetic) and np.allclose(
         v.value(grid.x), v.value(grid.x)[0]
     )
@@ -272,12 +272,8 @@ def run_decoherence_study(scenario: Scenario, realizations=None):
             [abs(decay_predict(f0, spec, t).values[i, j]) for t in times]
         )
         errs = np.array([e[i, j] for e in ensemble.stderr[1:]])
-        probe_curves[idx] = {
-            "probe": (i, j),
-            "t": times.tolist(),
-            "abs_f": mags.tolist(),
-            "predicted": predicted.tolist(),
-            "stderr": errs.tolist(),
+        tables[f"decay_probe_{idx}"] = {
+            "t": times, "abs_f": mags, "predicted": predicted, "stderr": errs
         }
         if i == j:
             flat = float(np.abs(mags - ref).max())
@@ -301,8 +297,7 @@ def run_decoherence_study(scenario: Scenario, realizations=None):
                 1e-8,
             )
 
-    curves = {"decay_probes": probe_curves, "comparison": comparison}
-    return report, curves
+    return report, {"tables": tables}
 
 
 def run_void_study(dr, rho=1.0, duration=1.0, geometry="ball_times_interval",
@@ -312,7 +307,8 @@ def run_void_study(dr, rho=1.0, duration=1.0, geometry="ball_times_interval",
     estimate = void_probability_mc(region, trials, seed)
     report = RunReport(
         study="void",
-        scenario_hash=f"dr={dr!r},rho={rho!r},geometry={geometry}",
+        scenario_hash=(f"dr={dr!r},rho={rho!r},duration={duration!r},"
+                       f"trials={trials!r},geometry={geometry}"),
         seeds={"sprinkle": seed},
     )
     # the estimated binomial width collapses when no trial is empty; fall
@@ -333,8 +329,16 @@ def run_void_study(dr, rho=1.0, duration=1.0, geometry="ball_times_interval",
         abs(estimate.empirical - estimate.analytic_exact),
         tol,
     )
-    curves = {"void": estimate, "region": region}
-    return report, curves
+    table = {
+        "dr": [float(dr)],
+        "rho": [float(rho)],
+        "trials": [estimate.n_trials],
+        "bare": [estimate.analytic_bare],
+        "exact": [estimate.analytic_exact],
+        "empirical": [estimate.empirical],
+        "stderr": [estimate.stderr],
+    }
+    return report, {"tables": {"void": table}}
 
 
 def run_segment_checks(scenario: Scenario, n_pairs=1000, seed=0):
@@ -383,7 +387,8 @@ def run_spectrum_study(scenario: Scenario):
     )
     report.metrics["n_eigenvalues"] = int(eigenvalues.size)
     report.add_check("spectrum_symmetry", defect, 1e-8)
-    return report, {"eigenvalues": eigenvalues}
+    table = {"index": range(eigenvalues.size), "eigenvalue": eigenvalues}
+    return report, {"tables": {"spectrum": table}}
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +396,20 @@ def run_spectrum_study(scenario: Scenario):
 
 
 def _fmt(value) -> str:
+    if isinstance(value, int):
+        return str(value)
     return repr(float(value))
 
 
 def emit_outputs(report: RunReport, curves: dict, outdir) -> list:
-    """Write summary, per-curve CSVs, gnuplot data files, and an index."""
+    """Write ``summary.json``, the tables, the snapshots and ``index.txt``.
+
+    Each ``curves["tables"]`` entry ``stem: {column: values}`` becomes
+    ``<stem>.csv`` (header row of column names, then every column) and
+    the gnuplot file ``<stem>.dat`` (its first two columns); each
+    ``curves["snapshots"]`` entry ``stem: state`` becomes ``<stem>.csv``
+    through :func:`save_state`.  Returns the written paths, sorted.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -423,52 +437,15 @@ def emit_outputs(report: RunReport, curves: dict, outdir) -> list:
     }
     emit("summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
-    def table(stem: str, header: str, *columns):
-        # the CSV holds every column, the gnuplot file the first two
-        rows = list(zip(*columns))
+    for stem, table in curves.get("tables", {}).items():
+        header = ",".join(table)
+        rows = list(zip(*([_fmt(v) for v in col] for col in table.values())))
         emit(f"{stem}.csv", "\n".join([header] + [",".join(r) for r in rows]) + "\n")
         emit(f"{stem}.dat", "\n".join(f"{r[0]} {r[1]}" for r in rows) + "\n")
 
-    def floats(values):
-        return [_fmt(v) for v in values]
-
-    times = curves.get("times")
-    for name, dist in curves.get("distances", {}).items():
-        table(f"distance_{name}", "t,maxnorm,l2",
-              floats(times), floats(dist["maxnorm"]), floats(dist["l2"]))
-
-    for idx, probe in curves.get("decay_probes", {}).items():
-        table(f"decay_probe_{idx}", "t,abs_f,predicted,stderr",
-              *(floats(probe[key]) for key in ("t", "abs_f", "predicted", "stderr")))
-
-    # snapshot keys are file stems
     for stem, state in curves.get("snapshots", {}).items():
         save_state(state, outdir / f"{stem}.csv")
         written.append(f"{stem}.csv")
-
-    if "eigenvalues" in curves:
-        eigenvalues = curves["eigenvalues"]
-        table("spectrum", "index,eigenvalue",
-              [str(i) for i in range(len(eigenvalues))], floats(eigenvalues))
-
-    if "void" in curves:
-        est = curves["void"]
-        region = curves["region"]
-        rows = [
-            "dr,rho,trials,bare,exact,empirical,stderr",
-            ",".join(
-                [
-                    _fmt(region.dr),
-                    _fmt(region.rho),
-                    str(est.n_trials),
-                    _fmt(est.analytic_bare),
-                    _fmt(est.analytic_exact),
-                    _fmt(est.empirical),
-                    _fmt(est.stderr),
-                ]
-            ),
-        ]
-        emit("void.csv", "\n".join(rows) + "\n")
 
     emit("index.txt", "\n".join(sorted(written + ["index.txt"])) + "\n")
     return [outdir / name for name in sorted(written)]

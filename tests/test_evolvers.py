@@ -396,11 +396,7 @@ def test_buffered_kernel_is_fft2_loop_bit_for_bit(grid64, monkeypatch, name, v):
     assert diags == ref_diags
 
 
-@pytest.mark.parametrize("fft_pass", [evolvers._fft_pass, evolvers._pass_copied],
-                         ids=["selected", "copied"])
-def test_per_axis_transforms_are_fft2_bit_for_bit(monkeypatch, fft_pass):
-    # "copied" is the pass NumPy < 2.0 runs, as its numpy.fft has no out=
-    monkeypatch.setattr(evolvers, "_fft_pass", fft_pass)
+def test_per_axis_transforms_are_fft2_bit_for_bit():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     scratch, out = np.empty_like(a), np.empty_like(a)

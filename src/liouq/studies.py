@@ -12,7 +12,6 @@ index, and knows no study's stems or columns.
 from __future__ import annotations
 
 import json
-import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +23,7 @@ from .errors import ConfigError, DomainError
 from .evolvers import (
     TimeStepWarning,
     _check_dt_guard,
+    _Worker,
     dense_generator,
     liouville_evolve_xp,
     qq_liouville_evolve,
@@ -150,7 +150,8 @@ def run_equivalence_study(scenario: Scenario):
     steps the density engines: they share only read-only inputs, and
     the FFT and BLAS calls release the GIL, so the states are those of
     a sequential run bit for bit.  A classical failure is raised in
-    preference to a density one, as in a sequential run.  The dt guard
+    preference to a density one, as in a sequential run, and stops the
+    density engines at their next record or checkpoint.  The dt guard
     warns once, naming this function's caller, before the engines run.
     """
     grid = scenario.build_grid()
@@ -160,28 +161,14 @@ def run_equivalence_study(scenario: Scenario):
     f0_qq = xp_to_Qq(f0_xp)
 
     _check_dt_guard(cfg, grid)
-    outcome = {}
-
-    def run_classical():
-        try:
-            outcome["classical"] = liouville_evolve_xp(f0_xp, v, cfg)
-        except BaseException as exc:  # re-raised in the caller's thread
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=run_classical, name="liouq-classical")
     # the filter list is process-wide, so it covers the worker, and it is
     # set and restored here, before the start and after the join
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _Worker() as helper:
         warnings.simplefilter("ignore", TimeStepWarning)
-        worker.start()
-        try:
-            quantum = von_neumann_evolve(f0_qq, v, cfg)
-            coupled = qq_liouville_evolve(f0_qq, v, cfg)
-        finally:
-            worker.join()
-            if "error" in outcome:
-                raise outcome["error"]
-    classical = outcome["classical"]
+        helper.submit(liouville_evolve_xp, f0_xp, v, cfg)
+        quantum = von_neumann_evolve(f0_qq, v, cfg)
+        coupled = qq_liouville_evolve(f0_qq, v, cfg)
+        (classical,) = helper.wait()
 
     times = classical.times
     classical_qq = [xp_to_Qq(state).values for state in classical.states]
@@ -300,14 +287,18 @@ def run_decoherence_study(scenario: Scenario):
     hamiltonian_off = (not cfg.include_kinetic) and np.allclose(
         v.value(grid.x), v.value(grid.x)[0]
     )
+    # one closed-form state per time, of which only the probe elements are kept
+    predictions = np.empty((len(probes), len(times)))
+    for col, t in enumerate(times):
+        decayed = decay_predict(f0, spec, t).values
+        for idx, (i, j) in enumerate(probes):
+            predictions[idx, col] = abs(decayed[i, j])
     for idx, (i, j) in enumerate(probes):
         ref = abs(f0.values[i, j])
         mags = np.array(
             [abs(s.values[i, j]) for s in ensemble.mean_states[1:]]
         )
-        predicted = np.array(
-            [abs(decay_predict(f0, spec, t).values[i, j]) for t in times]
-        )
+        predicted = predictions[idx]
         errs = np.array([e[i, j] for e in ensemble.stderr[1:]])
         tables[f"decay_probe_{idx}"] = {
             "t": times, "abs_f": mags, "predicted": predicted, "stderr": errs

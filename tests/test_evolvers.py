@@ -1,5 +1,7 @@
 """Evolution engines against method-of-characteristics oracles."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -627,6 +629,66 @@ def test_dense_false_alarm_runs_the_kernel(grid64, monkeypatch):
 def test_dense_stops_checkpoint_each_record_interval():
     cfg = EvolverConfig(dt=0.01, n_steps=150, record_every=70)
     assert evolvers._dense_stops(cfg) == [32, 64, 70, 102, 134, 140, 150]
+
+
+# ---------------------------------------------------------------------------
+# the worker thread
+
+
+def test_worker_runs_jobs_in_order_and_joins():
+    before = threading.active_count()
+    ran = []
+    with evolvers._Worker() as helper:
+        assert threading.active_count() == before  # starts at the first job
+        for k in range(3):
+            helper.submit(lambda k: ran.append(k) or k * k, k)
+        assert helper.wait() == [0, 1, 4]
+        helper.submit(threading.get_ident)
+        (ident,) = helper.wait()
+        assert helper.wait() == []
+    assert ran == [0, 1, 2] and ident != threading.get_ident()
+    assert threading.active_count() == before
+
+
+def test_worker_error_reaches_the_caller_in_preference_to_its_own():
+    before = threading.active_count()
+
+    def fail():
+        raise ValueError("worker job")
+
+    later = []
+    with pytest.raises(ValueError, match="worker job"):
+        with evolvers._Worker() as helper:
+            helper.submit(fail)
+            helper.submit(later.append, 1)
+            helper.wait()
+    assert later == []  # jobs after a failed one are skipped
+    with pytest.raises(ValueError, match="worker job"):
+        with evolvers._Worker() as helper:
+            helper.submit(fail)
+            raise KeyError("caller")
+    assert threading.active_count() == before
+
+
+def test_worker_error_stops_the_callers_engines(grid64):
+    # a failed job sets the stop event; the caller's kernel ends at its
+    # next record instead of running to completion
+    f0 = xp_to_Qq(make_gaussian_phase_space(0.0, 0.0, SIGMA, SIGMA, grid64))
+    cfg = EvolverConfig(dt=0.002, n_steps=100, record_every=10)
+    steps = []
+
+    def phase(work, step):
+        steps.append(step)
+
+    def fail():
+        raise ValueError("worker job")
+
+    with pytest.raises(ValueError, match="worker job"):
+        with evolvers._Worker() as helper:
+            helper.submit(fail)
+            assert helper.stop.wait(timeout=60)
+            evolvers._strang_density(f0, cfg, phase, None)
+    assert steps == list(range(1, 11))
 
 
 # ---------------------------------------------------------------------------

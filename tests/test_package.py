@@ -19,6 +19,26 @@ def test_all_holds_no_module():
         assert not isinstance(getattr(liouq, name), ModuleType), name
 
 
+def test_import_loads_no_executor_machinery():
+    # importing concurrent.futures costs about 12 ms, which every run pays
+    # at start-up; the worker thread needs only ``threading``
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    probe = "import sys, liouq; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize(
     "script, args",
     [

@@ -1,5 +1,7 @@
 """Noise sampling, ensemble averaging, dissipative stepper, decay law."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,9 @@ from liouq.errors import (
     DomainError,
     RealizationError,
 )
+from liouq import evolvers, stochastic
 from liouq.evolvers import TimeStepWarning, _record_steps
+from liouq.grids import boundary_fraction
 from liouq.stochastic import _BLOCK, _phase_minus_one
 from liouq.streams import normal_rows, stream
 
@@ -204,6 +208,118 @@ def test_closed_form_recurrence_matches_direct_phases(cat, grid):
     for got, err, m, e in zip(rep.mean_states[1:], rep.stderr[1:], mean, stderr):
         assert np.all(np.abs(got.values - m) <= 1e-14 * np.abs(cat.values))
         assert np.all(np.abs(err - e) <= 1e-14 * e)
+
+
+def sequential_closed_form(f0, V, spec, M, cfg):
+    """The closed form's moments with every record's sums formed on one thread."""
+    grid = f0.grid
+    n = grid.n_points
+    vx = V.value(grid.x)
+    profile = spec.nu_on_grid(grid)
+    if boundary_fraction(f0.values) > cfg.tail_threshold:
+        return None
+    steps = sorted(_record_steps(cfg))
+    gaps = np.diff(steps, prepend=0)
+    pair = np.zeros((len(steps), n, n), dtype=complex)
+    first = np.zeros((len(steps), n), dtype=complex)
+    for start in range(0, M, _BLOCK):
+        ks = range(start, min(start + _BLOCK, M))
+        dv = profile * normal_rows(spec.seed, ks, n)
+        if not np.all(np.isfinite(vx + dv)):
+            return None
+        b_gap = {g: _phase_minus_one((g * cfg.dt) * dv) for g in set(gaps)}
+        b = np.zeros_like(dv, dtype=complex)
+        for r, g in enumerate(gaps):
+            b += b_gap[g] + b * b_gap[g]
+            pair[r] += b.T @ b.conj()
+            first[r] += b.sum(axis=0)
+
+    times = [f0.time] + [f0.time + step * cfg.dt for step in steps]
+    mean = np.empty((len(times), n, n), dtype=complex)
+    m2 = np.zeros(mean.shape)
+    mean[0] = f0.values
+    abs_f0_sq = np.abs(f0.values) ** 2
+    diag = np.diag_indices(n)
+    for r, step in enumerate(steps):
+        d = np.exp(-1j * (step * cfg.dt) * vx)
+        shift = (first[r][:, None] + first[r].conj()[None, :] + pair[r]) / M
+        mean[r + 1] = f0.values * np.outer(d, d.conj()) * (1.0 + shift)
+        second = pair[r].real.diagonal()
+        spread = second[:, None] + second[None, :] - 2.0 * pair[r].real
+        m2[r + 1] = abs_f0_sq * np.maximum(spread - M * np.abs(shift) ** 2, 0.0)
+        mean[r + 1][diag] = f0.values[diag]
+        m2[r + 1][diag] = 0.0
+    return times, mean, m2
+
+
+@pytest.mark.parametrize(
+    "n_steps, record_every, M",
+    [
+        (20, 2, _BLOCK + 37),  # ten records, a full block plus a partial one
+        (20, 3, _BLOCK + 37),  # seven records, gaps of 3 and a last one of 2
+        (6, 6, _BLOCK + 37),  # one record: nothing to split
+        (9, 1, 50),  # nine records, less than one block
+    ],
+    ids=["even_records", "odd_records_mixed_gaps", "one_record", "below_one_block"],
+)
+def test_split_records_match_the_sequential_oracle_bit_for_bit(
+    cat, grid, n_steps, record_every, M
+):
+    nu = np.linspace(0.0, 1.2, grid.n_points)
+    nu[::5] = 0.0
+    spec = NoiseSpec(nu=nu, seed=7)
+    cfg = EvolverConfig(
+        dt=0.05, n_steps=n_steps, record_every=record_every, include_kinetic=False
+    )
+    rep = ensemble_evolve(cat, Harmonic(1.0), spec, M, cfg)
+    times, mean, m2 = sequential_closed_form(cat, Harmonic(1.0), spec, M, cfg)
+    stderr = np.sqrt(m2 / ((M - 1) * M))
+    assert rep.times == times
+    for i in range(len(times)):
+        assert np.array_equal(rep.mean_states[i].values, mean[i])
+        assert np.array_equal(rep.stderr[i], stderr[i])
+
+
+@pytest.mark.parametrize("case", ["normal", "tail_alarm", "non_finite_phase"])
+def test_closed_form_leaves_no_thread(cat, monkeypatch, case):
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1, include_kinetic=False)
+    f0, M, seen = cat, _BLOCK + 5, []
+    if case == "tail_alarm":
+        f0 = DensityGrid(cat.grid, np.ones(cat.values.shape))
+    if case == "non_finite_phase":
+        real = stochastic.normal_rows
+
+        def rows(seed, ks, n):  # the second block's rows are infinite
+            if ks.start < _BLOCK:
+                return real(seed, ks, n)
+            seen.append(threading.active_count())
+            return np.full((len(ks), n), np.inf)
+
+        monkeypatch.setattr(stochastic, "normal_rows", rows)
+    before = threading.active_count()
+    got = stochastic._closed_form_moments(
+        f0, Constant(0.0), NoiseSpec(nu=1.0, seed=3), M, cfg
+    )
+    assert (got is None) == (case != "normal")
+    assert threading.active_count() == before
+    if case == "non_finite_phase":
+        assert seen == [before + 1]  # the worker ran the first block
+
+
+def test_closed_form_raises_a_worker_error(cat, monkeypatch):
+    def fail(*args):
+        raise MemoryError("worker job")
+
+    class FailingWorker(evolvers._Worker):
+        def submit(self, fn, *args):
+            super().submit(fail)
+
+    monkeypatch.setattr(stochastic, "_Worker", FailingWorker)
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1, include_kinetic=False)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="worker job"):
+        ensemble_evolve(cat, Constant(0.0), NoiseSpec(nu=1.0, seed=3), 10, cfg)
+    assert threading.active_count() == before
 
 
 def test_closed_form_rerun_is_deterministic(cat):

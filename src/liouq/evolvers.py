@@ -4,7 +4,7 @@ Every engine runs one symmetric (Strang) splitting kernel, ``_strang``:
 a spectral kinetic half-step, a pointwise factor, a second kinetic
 half-step.  The second half-step of one step and the first of the next
 are fused into one full kinetic step, so a step costs one FFT pair.  The
-loop holds fixed n x n buffers and runs each 2-D transform as two 1-D
+loop transforms one n x n array in place, each 2-D transform as two 1-D
 passes in ``fft2``'s axis order, so its states are bit for bit those of
 ``fft2``/``ifft2``.
 The engines differ only in the initial work array, the kinetic factor
@@ -30,12 +30,20 @@ The kernel warns with ``TimeStepWarning`` when the kinetic factor is on
 and dt exceeds the spectral-phase guard.  The boundary tail monitor
 aborts with ``BoundaryContaminationError`` above ``tail_threshold``.
 A fused step holds position space only where the pointwise factor acts,
-half a kinetic step short of the full step, so the monitor reads there
+half a kinetic step short of the full step, so the monitor watches there
 every step; at a record, and so at the final step, it reads the
 full-step state itself, and a recorded snapshot carries that reading as
 its ``boundary_fraction``.  An abort may therefore come a step or two
 away from where a monitor after every full step would raise it, but no
-returned state exceeds the threshold.
+returned state exceeds the threshold.  Between records the monitor
+reads the boundary frame alone and takes the exact fraction, a pass over
+the whole array, only when the frame exceeds half the threshold times
+norm / n, with norm the initial 2-norm.  That rests on every factor
+having unit modulus, which keeps the 2-norm (see below): the peak is
+then at least norm / n, so a smaller frame cannot reach the threshold,
+and the aborts, their steps and fractions are those of an exact read on
+every step.  ``lindblad_evolve``, whose damping is not of unit modulus,
+passes no threshold and never aborts.
 
 A density-grid run whose step is one fixed unitary, rho -> U rho U^H
 (the kinetic term on, a static V and no extra term, as for
@@ -86,6 +94,7 @@ from .grids import (
     PhaseSpaceDistribution,
     XYGrid,
     boundary_fraction,
+    boundary_frame,
     hermiticity_defect,
     xp_to_xy,
     xy_to_xp,
@@ -284,16 +293,16 @@ def _midpoint_phase(sample, build, time_dependent: bool, t0: float, dt: float):
     return phase
 
 
-def _fft2(a: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
-    """``out[:] = fft2(a)`` through ``scratch``, in ``fft2``'s own axis order."""
-    np.fft.fft(a, axis=1, out=scratch)
-    np.fft.fft(scratch, axis=0, out=out)
+def _fft2(work: np.ndarray) -> None:
+    """``work[:] = fft2(work)`` in place, in ``fft2``'s own axis order."""
+    np.fft.fft(work, axis=1, out=work)
+    np.fft.fft(work, axis=0, out=work)
 
 
-def _ifft2(a: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
-    """``out[:] = ifft2(a)`` through ``scratch``; ``out`` may be ``a``."""
-    np.fft.ifft(a, axis=1, out=scratch)
-    np.fft.ifft(scratch, axis=0, out=out)
+def _ifft2(work: np.ndarray) -> None:
+    """``work[:] = ifft2(work)`` in place, in ``ifft2``'s own axis order."""
+    np.fft.ifft(work, axis=1, out=work)
+    np.fft.ifft(work, axis=0, out=work)
 
 
 def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Trajectory:
@@ -308,21 +317,30 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Traje
     K½ V K V K½): the state stays in Fourier space between pointwise
     factors, so a step costs one inverse and one forward transform, and
     the full-step state one more inverse transform, at records only.
-    The loop holds three fixed n x n buffers, position space ``work``,
-    ``spec`` and a transform scratch, and runs each 2-D transform as two
-    1-D passes in ``fft2``'s axis order, so the states are those of
-    ``fft2``/``ifft2`` bit for bit.  ``work`` is overwritten every step,
-    so ``snapshot`` must copy it.
+    The loop transforms ``work`` in place, each 2-D transform as two 1-D
+    passes in ``fft2``'s axis order, so the states are those of
+    ``fft2``/``ifft2`` bit for bit; a record's full-step state goes into
+    one second array.  Both are overwritten on later steps, so
+    ``snapshot`` must copy its input.
 
     The tail monitor aborts the run once the boundary fraction exceeds
-    ``tail_limit``.  It reads every step on the position-space array the
-    pointwise factor acted on: the full-step state when the kinetic term
-    is frozen, otherwise half a kinetic step short of it, the only
-    position-space array a fused step holds.  At a record it reads the
-    full-step state itself, so a recorded tail is that of the returned
-    state and no returned state exceeds the limit.  With
-    ``tail_limit=None`` nothing can abort, and the tail is read at
-    records only.
+    ``tail_limit``.  It watches, every step, the position-space array
+    the pointwise factor acted on: the full-step state when the kinetic
+    term is frozen, otherwise half a kinetic step short of it, the only
+    position-space array a fused step holds.  Between records it reads
+    the boundary frame alone (4n cells), and the exact fraction (a pass
+    over all n² cells) only where the frame could mean an abort.  This
+    needs every factor to have unit modulus, so that the 2-norm stays
+    that of the initial ``work``: the peak is at least norm / n, so a
+    frame at most ``0.5 * tail_limit * norm / n`` puts the fraction
+    under the limit.  A NaN frame, a non-finite initial norm and every
+    larger frame take the exact read, so every abort, its step and its
+    fraction are those of an exact read on every step.  At a record the
+    monitor reads the full-step state itself, exactly, so a recorded
+    tail is that of the returned state and no returned state exceeds
+    the limit.  With ``tail_limit=None`` nothing can abort and the tail
+    is read at records only; a caller whose pointwise factor is not of
+    unit modulus must pass it, as ``lindblad_evolve`` does.
     """
     _check_dt_guard(cfg, f0.grid)
     stop_event = _STOP.get()
@@ -330,29 +348,41 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Traje
     times = [f0.time]
     states: list = [f0]
     diags = [diag(f0, boundary_fraction(work))]
+    if tail_limit is not None:
+        with np.errstate(over="ignore"):  # an overflowed norm skips no read
+            norm = np.linalg.norm(work)
+        frame_bound = 0.0
+        if np.isfinite(norm):
+            frame_bound = 0.5 * tail_limit * norm / np.sqrt(work.size)
+    full = work
     if kin_half is not None:
         kin = kin_half * kin_half
-        spec = np.empty_like(work)
-        scratch = np.empty_like(work)
-        _fft2(work, scratch, spec)
-        spec *= kin_half
+        full = np.empty_like(work)
+        _fft2(work)
+        work *= kin_half
     for step in range(1, cfg.n_steps + 1):
         if kin_half is not None:
-            _ifft2(spec, scratch, work)
+            _ifft2(work)
         phase(work, step)
         recorded = step in record_at
+        # ``not <=``, so that a NaN frame takes the exact read
+        if (
+            not recorded
+            and tail_limit is not None
+            and not boundary_frame(work) <= frame_bound
+        ):
+            _check_tail(work, tail_limit, step)
         if kin_half is not None:
-            _fft2(work, scratch, spec)
+            _fft2(work)
             if recorded:
-                np.multiply(spec, kin_half, out=work)
-                _ifft2(work, scratch, work)
-            spec *= kin
-        if recorded or tail_limit is not None:
-            tail = _check_tail(work, tail_limit, step)
+                np.multiply(work, kin_half, out=full)
+                _ifft2(full)
+            work *= kin
         if recorded:
+            tail = _check_tail(full, tail_limit, step)
             _check_stop(stop_event)
             t = f0.time + step * cfg.dt
-            state = snapshot(work, t)
+            state = snapshot(full, t)
             times.append(t)
             states.append(state)
             diags.append(diag(state, tail))
@@ -398,7 +428,7 @@ def liouville_evolve_xp(
 
     def snapshot(work: np.ndarray, t: float) -> PhaseSpaceDistribution:
         # the copy is needed: XYGrid freezes the array it is given, and
-        # ``_strang`` overwrites ``work`` on the next step
+        # ``_strang`` overwrites it on a later step
         return xy_to_xp(XYGrid(grid, work.copy(), t))
 
     work = xp_to_xy(f0).values.copy()
@@ -436,7 +466,7 @@ def _strang_density(f0: DensityGrid, cfg, phase, tail_limit) -> Trajectory:
         cfg,
         _density_kinetic_half(grid, cfg),
         phase,
-        # a copy, as DensityGrid freezes its array and ``work`` is reused
+        # a copy, as DensityGrid freezes its array and ``_strang`` reuses it
         lambda work, t: DensityGrid(grid, work.copy(), t),
         _density_diag,
         tail_limit,

@@ -356,18 +356,22 @@ def Qq_to_xp(f: DensityGrid) -> PhaseSpaceDistribution:
 # diagnostics
 
 
-def boundary_fraction(values: np.ndarray) -> float:
-    """Largest boundary-frame magnitude relative to the global peak."""
-    peak = float(np.abs(values).max())
-    if peak == 0.0:
-        return 0.0
-    frame = max(
+def boundary_frame(values: np.ndarray) -> float:
+    """Largest magnitude on the boundary frame: first and last row and column."""
+    return max(
         float(np.abs(values[0, :]).max()),
         float(np.abs(values[-1, :]).max()),
         float(np.abs(values[:, 0]).max()),
         float(np.abs(values[:, -1]).max()),
     )
-    return frame / peak
+
+
+def boundary_fraction(values: np.ndarray) -> float:
+    """Largest boundary-frame magnitude relative to the global peak."""
+    peak = float(np.abs(values).max())
+    if peak == 0.0:
+        return 0.0
+    return boundary_frame(values) / peak
 
 
 def hermiticity_defect(values: np.ndarray) -> float:

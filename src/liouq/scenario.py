@@ -281,10 +281,6 @@ def _validate(mapping: dict) -> dict:
     settings = {key: default for key, (_, default) in SCHEMA.items()}
     settings.update(mapping)
 
-    if settings["grid.n"] < 8 or settings["grid.n"] % 2:
-        raise ConfigError("grid.n must be an even integer >= 8")
-    if settings["grid.L"] <= 0:
-        raise ConfigError("grid.L must be positive")
     kind = settings["potential.kind"]
     if kind is not None and kind not in _POTENTIAL_KINDS:
         raise ConfigError(f"potential.kind must be one of {_POTENTIAL_KINDS}")
@@ -292,6 +288,7 @@ def _validate(mapping: dict) -> dict:
         raise ConfigError(f"state.kind must be one of {_STATE_KINDS}")
     if settings["evolve.engine"] not in _ENGINES:
         raise ConfigError(f"evolve.engine must be one of {_ENGINES}")
+    # EvolverConfig checks dt too, but build_evolver_config divides by it first
     if settings["evolve.dt"] <= 0:
         raise ConfigError("evolve.dt must be positive")
     if settings["evolve.t_final"] <= 0:

@@ -310,6 +310,8 @@ def lindblad_evolve(
     # not smooth, and the kinetic half-steps ring it out to the box edge.
     # At n = 64, L = 10, dt = 0.008, nu = 1 the boundary fraction reaches
     # 7.5e-6 in 15 steps, where commutator transport stays at 8e-14.
+    # Nor could the kernel's monitor skip its exact reads here: that
+    # needs unit-modulus factors, and the damping shrinks the 2-norm.
     return _strang_density(f0, cfg, phase, None)
 
 

@@ -401,11 +401,11 @@ def test_buffered_kernel_is_fft2_loop_bit_for_bit(grid64, monkeypatch, name, v):
 def test_per_axis_transforms_are_fft2_bit_for_bit():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    scratch, out = np.empty_like(a), np.empty_like(a)
-    evolvers._fft2(a, scratch, out)
-    assert np.array_equal(out, np.fft.fft2(a))
-    evolvers._ifft2(out, scratch, out)
-    assert np.array_equal(out, np.fft.ifft2(np.fft.fft2(a)))
+    work = a.copy()
+    evolvers._fft2(work)
+    assert np.array_equal(work, np.fft.fft2(a))
+    evolvers._ifft2(work)
+    assert np.array_equal(work, np.fft.ifft2(np.fft.fft2(a)))
 
 
 def _oracle_tails(engine, f0, v, cfg, monkeypatch) -> dict:
@@ -423,35 +423,57 @@ def _oracle_tails(engine, f0, v, cfg, monkeypatch) -> dict:
     return tails
 
 
+def _outcome(engine, f0, v, cfg):
+    """``(step, fraction)`` of the run's abort, or None if it runs through."""
+    try:
+        engine(f0, v, cfg)
+    except BoundaryContaminationError as err:
+        return err.step, err.fraction
+    return None
+
+
 @pytest.mark.filterwarnings("ignore::liouq.evolvers.TimeStepWarning")
 def test_abort_step_and_fraction_are_the_exact_monitors(grid64, monkeypatch):
-    # the setups of test_boundary_contamination_raises_with_step, all stepped
+    # the setups of test_boundary_contamination_raises_with_step, all
+    # stepped, then the coupling field, a frozen kinetic term and a state
+    # whose 2-norm overflows, so that every tail-limited caller is checked
     monkeypatch.setattr(evolvers, "_MIN_DENSE_GAP", 401)
     fast = make_gaussian_phase_space(4.0, 2.0, 0.5, 0.5, grid64)
     slow = make_gaussian_phase_space(0.0, 1.0, SIGMA, SIGMA, grid64)
-    runs = [(liouville_evolve_xp, fast, Constant(0.0), 0.01)]
+    huge = lq.DensityGrid(grid64, xp_to_Qq(slow).values * 2.0**530)
+    runs = [(liouville_evolve_xp, fast, Constant(0.0), 0.01, True)]
     runs += [
-        (engine, state, v, 0.005)
+        (engine, state, v, 0.005, True)
         for engine, state in ((liouville_evolve_xp, slow),
                               (von_neumann_evolve, xp_to_Qq(slow)))
         for v in (Constant(0.0), Quartic(0.25))
     ]
-    for engine, f0, v, dt in runs:
-        unlimited = EvolverConfig(dt=dt, n_steps=400, record_every=400,
-                                  tail_threshold=1.0)
-        tails = _oracle_tails(engine, f0, v, unlimited, monkeypatch)
-        # a non-record step on the rising tail
+    runs += [
+        (qq_liouville_evolve, xp_to_Qq(slow), Quartic(0.25), 0.005, True),
+        (von_neumann_evolve, xp_to_Qq(fast), Quartic(0.25), 0.005, False),
+        (von_neumann_evolve, huge, Quartic(0.25), 0.005, True),
+    ]
+    for engine, f0, v, dt, kinetic in runs:
+
+        def cfg(limit):
+            return EvolverConfig(dt=dt, n_steps=400, record_every=400,
+                                 tail_threshold=limit, include_kinetic=kinetic)
+
+        tails = _oracle_tails(engine, f0, v, cfg(1.0), monkeypatch)
+        # a non-record step on the rising tail; pure phases keep |f|, so
+        # with the kinetic term frozen the tail is flat from step 1
         probe = min(step for step, tail in tails.items() if tail > 1e-8)
-        assert 1 < probe < 400
+        assert (1 < probe or not kinetic) and probe < 400
         for factor in (1 - 1e-9, 1 + 1e-9, 0.75):
-            limited = EvolverConfig(dt=dt, n_steps=400, record_every=400,
-                                    tail_threshold=tails[probe] * factor)
+            limited = cfg(tails[probe] * factor)
             with monkeypatch.context() as m:
                 m.setattr(evolvers, "_strang", _fft2_strang)
-                oracle = _abort(engine, f0, v, limited)
-            err = _abort(engine, f0, v, limited)
-            assert (err.step, err.fraction) == (oracle.step, oracle.fraction)
-            assert oracle.step <= probe or factor > 1
+                oracle = _outcome(engine, f0, v, limited)
+            assert _outcome(engine, f0, v, limited) == oracle
+            if oracle is None:  # a flat tail never crosses a limit above it
+                assert factor > 1 and not kinetic
+            else:
+                assert oracle[0] <= probe or factor > 1
 
 
 def test_zero_state_and_zero_frame_never_abort(grid64):
@@ -468,6 +490,69 @@ def test_zero_state_and_zero_frame_never_abort(grid64):
     cfg = EvolverConfig(include_kinetic=False, **tiny)
     traj = _stepped(lq.DensityGrid(grid64, framed), Quartic(0.25), None, cfg)
     assert [d["boundary_fraction"] for d in traj.diagnostics] == [0.0, 0.0]
+
+
+def _log_tail_reads(monkeypatch) -> tuple:
+    """Count ``_strang``'s frame reads and log the steps of its exact ones."""
+    frames, exact = [], []
+    real_frame, real_exact = evolvers.boundary_frame, evolvers._check_tail
+
+    def frame(values):
+        frames.append(1)
+        return real_frame(values)
+
+    def check(work, limit, step):
+        exact.append(step)
+        return real_exact(work, limit, step)
+
+    monkeypatch.setattr(evolvers, "boundary_frame", frame)
+    monkeypatch.setattr(evolvers, "_check_tail", check)
+    return frames, exact
+
+
+@pytest.mark.parametrize("name", ["xp", "qq"])
+def test_clean_stepped_run_reads_the_frame_between_records(grid64, monkeypatch, name):
+    # far from the edge the frame rules out every abort between records:
+    # the exact tail is read at the start and at the records only
+    cfg = EvolverConfig(dt=0.004, n_steps=60, record_every=25, tail_threshold=1e-2)
+    frames, exact = _log_tail_reads(monkeypatch)
+    reads, real = [], evolvers.boundary_fraction
+    monkeypatch.setattr(evolvers, "boundary_fraction",
+                        lambda values: reads.append(1) or real(values))
+    times, _, _ = _run_engine(name, Quartic(0.25), grid64, cfg)
+    records = len(times) - 1
+    assert exact == [25, 50, 60]
+    assert len(reads) <= records + 2
+    assert len(frames) == cfg.n_steps - records
+
+
+def test_state_turned_nan_runs_as_under_the_exact_monitor(grid64, monkeypatch):
+    # a NaN set in one interior cell reaches the frame at the next
+    # transform.  The exact fraction of a NaN state is NaN, which aborts
+    # nothing, so both monitors step on until the record refuses the state.
+    rho = _packet(grid64)
+    cfg = EvolverConfig(dt=0.004, n_steps=30, record_every=10, tail_threshold=1e-4)
+    potential = evolvers._potential_phase(rho, Quartic(0.25), cfg)
+    stepped = []
+
+    def phase(work, step):
+        stepped.append(step)
+        potential(work, step)
+        if step == 12:
+            work[20, 20] = np.nan
+
+    with monkeypatch.context() as m:
+        m.setattr(evolvers, "_strang", _fft2_strang)
+        with pytest.raises(lq.DomainError, match="finite"):
+            evolvers._strang_density(rho, cfg, phase, cfg.tail_threshold)
+    assert stepped == list(range(1, 21))
+    stepped.clear()
+    frames, exact = _log_tail_reads(monkeypatch)
+    with pytest.raises(lq.DomainError, match="finite"):
+        evolvers._strang_density(rho, cfg, phase, cfg.tail_threshold)
+    assert stepped == list(range(1, 21))
+    assert exact == [10] + list(range(13, 21))
+    assert len(frames) == 18
 
 
 def test_midpoint_phase_cache_equals_rebuild(grid64):

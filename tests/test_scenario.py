@@ -131,6 +131,10 @@ def test_validation_happens_before_compute():
     # an invalid evolver section fails at load time, not at run time
     with pytest.raises(ConfigError):
         scenario_from_text(MINIMAL + "evolve.dt = -0.1\n")
+    with pytest.raises(ConfigError):  # not a division by zero
+        scenario_from_text(MINIMAL + "evolve.dt = 0.0\n")
+    with pytest.raises(ConfigError):
+        scenario_from_text(MINIMAL + "grid.L = 0.0\n")
     with pytest.raises(ConfigError):
         scenario_from_text(MINIMAL + "grid.n = 9\n")
     with pytest.raises(ConfigError):

@@ -199,7 +199,8 @@ def test_classical_abort_wins_and_no_thread_is_left():
     "engine, reads_after_abort",
     # QUARTIC records every 125 steps.  The von Neumann engine takes the
     # dense path and polls at its first stop, before reading the tail
-    # there; the qq engine reads the tail every step and polls at records.
+    # there; the qq engine's monitor reads once a step, the frame between
+    # records and the exact fraction at a record, and polls at records.
     [("von_neumann_evolve", 0), ("qq_liouville_evolve", 125)],
     ids=["dense_path", "stepped_kernel"],
 )
@@ -210,14 +211,20 @@ def test_density_engines_stop_at_their_next_record_after_a_classical_abort(
     in_engine = threading.Event()
     held, reads = [], []
     real_read, real_engine = evolvers.boundary_fraction, getattr(studies, engine)
+    real_frame = evolvers.boundary_frame
 
     def read(values):
         if threading.get_ident() == caller and in_engine.is_set():
             if held:
-                reads.append(1)
+                reads.append("exact")
             else:  # hold the engine at its initial read until the abort is in
                 held.append(evolvers._STOP.get().wait(timeout=60))
         return real_read(values)
+
+    def frame(values):
+        if threading.get_ident() == caller and in_engine.is_set():
+            reads.append("frame")
+        return real_frame(values)
 
     def started(*args):
         in_engine.set()
@@ -228,6 +235,7 @@ def test_density_engines_stop_at_their_next_record_after_a_classical_abort(
         raise BoundaryContaminationError(1, 1.0, 0.5)
 
     monkeypatch.setattr(evolvers, "boundary_fraction", read)
+    monkeypatch.setattr(evolvers, "boundary_frame", frame)
     monkeypatch.setattr(studies, engine, started)
     monkeypatch.setattr(studies, "liouville_evolve_xp", classical)
     before = threading.active_count()
@@ -235,6 +243,7 @@ def test_density_engines_stop_at_their_next_record_after_a_classical_abort(
         run_equivalence_study(scenario_from_text(QUARTIC))
     assert held == [True]
     assert len(reads) == reads_after_abort
+    assert reads.count("exact") == min(reads_after_abort, 1)
     assert threading.active_count() == before
 
 

@@ -15,11 +15,12 @@ and the pointwise factor:
   exp(-i y v'(x) dt);
 * density-grid transport with the full coupling field, pointwise phase
   exp(-i [v(Q) - v(q) + E(Q, q)] dt), or without it (commutator only);
-* the noisy and dissipative density-grid steppers in ``stochastic``.
+* the dissipative density-grid stepper in ``stochastic``.
 
-Every engine, the noisy and dissipative ones included, takes its
-potential phase from ``_midpoint_phase``, which samples a time-dependent
-potential at the step midpoint t0 + (s - 1/2) dt, as Strang needs.
+Every engine, the dissipative one included, takes its potential phase
+from ``_midpoint_phase``, which samples a time-dependent potential at
+the step midpoint t0 + (s - 1/2) dt, as Strang needs; the quenched
+closed form in ``stochastic`` sums the same midpoint samples.
 
 All density-grid engines share the kinetic phase
 exp(-i dt [k^2(Q) - k^2(q)] / 4), which agrees with the classical one

@@ -7,10 +7,13 @@ the pure-phase evolution has the closed form
 
     <f(x, y; t)> = f(x, y; 0) exp(-t^2 [nu^2(x) + nu^2(y)] / 2)
 
-off the diagonal, with diagonal elements exactly unchanged.  The same
-law is the stationary-phase limit of the dissipative stepper, whose
-decay coefficient grows linearly in time; stepping uses the midpoint
-value of that coefficient, which integrates the linear growth exactly.
+off the diagonal, with diagonal elements exactly unchanged.  Noisy
+ensembles run with transport frozen, where every step is a pure phase,
+so ``ensemble_evolve`` evaluates them in closed form and steps nothing.
+The same law is the stationary-phase limit of the dissipative stepper,
+whose decay coefficient grows linearly in time; stepping uses the
+midpoint value of that coefficient, which integrates the linear growth
+exactly.
 
 A noise width always comes as a ``NoiseSpec``: the profile nu(x) and
 the stream seed.  Realizations are drawn from the counter-based streams
@@ -26,11 +29,15 @@ from typing import List
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, RealizationError
+from .errors import (
+    BoundaryContaminationError,
+    ConfigError,
+    DomainError,
+    RealizationError,
+)
 from .evolvers import (
     EvolverConfig,
     Trajectory,
-    _evolve_density,
     _potential_phase,
     _record_steps,
     _strang_density,
@@ -71,14 +78,9 @@ class NoiseSpec:
         return prof
 
 
-def _draw(profile: np.ndarray, seed: int, k: int) -> np.ndarray:
-    """The field of stream ``(seed, k)``: independent cells, std profile."""
-    return profile * stream(seed, k).standard_normal(profile.size)
-
-
 def sample_noise(spec: NoiseSpec, grid: GridSpec, k: int) -> np.ndarray:
     """Draw realization ``k``'s field dV(x): independent cells, mean 0, std nu(x)."""
-    return _draw(spec.nu_on_grid(grid), spec.seed, k)
+    return spec.nu_on_grid(grid) * stream(spec.seed, k).standard_normal(grid.n_points)
 
 
 @dataclass
@@ -96,47 +98,42 @@ class EnsembleReport:
             raise ConfigError("need at least one realization")
 
 
-def _stepped_moments(f0, V, spec, M, cfg):
-    """Step every quenched realization; running mean and M2 per recorded time.
-
-    Welford's update keeps M2 a sum of squared deviations from the
-    running mean, so no cancellation-prone E[x^2] - mean^2 is formed.
-    """
-    profile = spec.nu_on_grid(f0.grid)
-    mean = m2 = times = None
-    for k in range(M):
-        dv = _draw(profile, spec.seed, k)
-        try:
-            traj = _evolve_density(f0, V, dv[:, None] - dv[None, :], cfg)
-        except Exception as exc:  # annotate with the realization index
-            raise RealizationError(k, exc) from exc
-        if mean is None:
-            times = traj.times
-            mean = np.zeros((len(times),) + f0.values.shape, dtype=complex)
-            m2 = np.zeros(mean.shape)
-        for i, state in enumerate(traj.states):
-            delta = state.values - mean[i]
-            mean[i] += delta / (k + 1)
-            m2[i] += (delta * np.conj(state.values - mean[i])).real
-    return times, mean, m2
-
-
 def _phase_minus_one(theta: np.ndarray) -> np.ndarray:
     """exp(-i theta) - 1 without cancellation at small theta."""
     return -2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta)
 
 
+def _potential_phases(V, x, t0, dt, steps) -> list:
+    """d_s = exp(-i dt sum_{s' <= s} v(x, t0 + (s' - 1/2) dt)) per record step s.
+
+    As the steppers do (``evolvers._midpoint_phase``), a time-dependent V
+    is sampled at every step midpoint; each run of equal samples adds
+    (its steps) dt v at once, so a static V gives exp(-i s dt v) itself.
+    """
+    profile = V.value(x, t0 + 0.5 * dt)
+    done, start, sampled, phases = 0.0, 0, 1, []
+    for s in steps:
+        while V.time_dependent and sampled < s:
+            sampled += 1
+            current = V.value(x, t0 + (sampled - 0.5) * dt)
+            if not np.array_equal(current, profile):
+                done = done + -1j * ((sampled - 1 - start) * dt) * profile
+                profile, start = current, sampled - 1
+        phases.append(np.exp(done + -1j * ((s - start) * dt) * profile))
+    return phases
+
+
 def _closed_form_moments(f0, V, spec, M, cfg):
     """Quenched pure-phase ensemble without stepping (see ensemble_evolve).
 
-    With u_k = exp(-i t dV_k) and b_k = u_k - 1, realization k at time t
-    is f0 D w_k, where D(Q, q) = exp(-i t [v(Q) - v(q)]) and
-    w_k = u_k(Q) conj(u_k(q)).  Only realization sums of b and of
-    b(Q) conj(b(q)) are needed: the latter, ``pair``, is one matrix
-    product per record and block, and its real diagonal is the sum of
-    |b|^2.  M2 is taken about the noise-free value w = 1, using
-    |w_k - 1| = |b_k(Q) - b_k(q)|, so its rounding error scales with the
-    spread instead of with |f0|^2.
+    With u_k = exp(-i t dV_k) and b_k = u_k - 1, realization k at record
+    step s is f0 D w_k, where D(Q, q) = d_s(Q) conj(d_s(q)) carries V
+    (``_potential_phases``) and w_k = u_k(Q) conj(u_k(q)).  Only
+    realization sums of b and of b(Q) conj(b(q)) are needed: the latter,
+    ``pair``, is one matrix product per record and block, and its real
+    diagonal is the sum of |b|^2.  M2 is taken about the noise-free value
+    w = 1, using |w_k - 1| = |b_k(Q) - b_k(q)|, so its rounding error
+    scales with the spread instead of with |f0|^2.
 
     A block's rows b are stepped from record to record: u at step s + g
     is u_s u_g, so b <- b + b_g + b b_g, where b_g is built once per
@@ -154,18 +151,25 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     same block order as on one thread, bit for bit, and no second
     accumulator is needed.
 
-    Returns None, for the caller to step every realization instead, when
-    f0's tail exceeds the limit (unit-modulus factors keep |f| elementwise,
-    so the monitor would read that at every step) or a phase is not finite.
+    Raises ``RealizationError`` for the first failing realization: 0
+    with ``BoundaryContaminationError`` at step 1 when f0's tail is over
+    the limit (unit-modulus factors keep |f|, so a stepper would abort
+    there), else a ``DomainError`` for a non-finite potential phase (0)
+    or noise row (its k).
     """
     grid = f0.grid
     n = grid.n_points
-    vx = V.value(grid.x)
     profile = spec.nu_on_grid(grid)
-    if boundary_fraction(f0.values) > cfg.tail_threshold:
-        return None
+    tail = boundary_fraction(f0.values)
+    if tail > cfg.tail_threshold:
+        cause = BoundaryContaminationError(1, tail, cfg.tail_threshold)
+        raise RealizationError(0, cause) from cause
     steps = sorted(_record_steps(cfg))
     gaps = np.diff(steps, prepend=0)
+    phases = _potential_phases(V, grid.x, f0.time, cfg.dt, steps)
+    if not all(np.all(np.isfinite(d)) for d in phases):
+        cause = DomainError("potential phase is not finite")
+        raise RealizationError(0, cause) from cause
     pair = np.zeros((len(steps), n, n), dtype=complex)
     first = np.zeros((len(steps), n), dtype=complex)
 
@@ -183,8 +187,7 @@ def _closed_form_moments(f0, V, spec, M, cfg):
 
     def finish(own: range) -> None:
         for r in own:
-            step = steps[r]
-            d = np.exp(-1j * (step * cfg.dt) * vx)
+            d = phases[r]
             shift = (first[r][:, None] + first[r].conj()[None, :] + pair[r]) / M
             mean[r + 1] = f0.values * np.outer(d, d.conj()) * (1.0 + shift)
             second = pair[r].real.diagonal()
@@ -201,8 +204,10 @@ def _closed_form_moments(f0, V, spec, M, cfg):
         for start in range(0, M, _BLOCK):
             ks = range(start, min(start + _BLOCK, M))
             dv = profile * normal_rows(spec.seed, ks, n)
-            if not np.all(np.isfinite(vx + dv)):
-                return None
+            finite = np.isfinite(dv).all(axis=1)
+            if not finite.all():
+                cause = DomainError("noise field is not finite")
+                raise RealizationError(ks[int(np.argmin(finite))], cause) from cause
             b_gap = {g: _phase_minus_one((g * cfg.dt) * dv) for g in set(gaps)}
             if theirs:
                 helper.submit(accumulate, b_gap, theirs)
@@ -228,39 +233,31 @@ def ensemble_evolve(
     M: int,
     cfg: EvolverConfig,
 ) -> EnsembleReport:
-    """Average M noisy commutator evolutions of the same initial state.
+    """Average M quenched noisy evolutions of the same initial state.
 
-    Each quenched realization evolves under V + dV_k with dV_k static
-    over the whole window.  Means and elementwise standard errors are
-    accumulated at every recorded time.
-
-    Quenched runs with the kinetic term off and a static V take a closed
-    form instead of the stepper: every factor is then the pure phase
-    exp(-i dt [v(Q) + dV_k(Q) - v(q) - dV_k(q)]), so s steps multiply f0
-    by exp(-i s dt ...) exactly, and the ensemble mean is one matrix
-    product of per-realization phase rows per recorded time.  The phase
-    vanishes on the diagonal, which therefore keeps f0's values with
-    zero error.  The realizations are accumulated in fixed-size blocks,
-    so memory does not grow with M.  A block draws its noise rows in
-    one pass over its streams and steps its phase rows from record to
-    record by the exact product u_{s+g} = u_s u_g; the sum of |b|^2 that
-    the error bars need is read off the diagonal of the matrix product
-    (see ``_closed_form_moments``).  With more than one record, one
-    worker thread forms half of the records' products, split by parity,
-    beside the calling thread; the results are those of one thread bit
-    for bit, and no thread outlives the call.  Kinetic and time-dependent runs
-    are stepped realization by realization, and so is a closed-form run
-    whose initial tail is over the limit or whose phase is not finite:
-    the stepper alone raises ``RealizationError``.
+    Each realization evolves under V + dV_k, dV_k static over the whole
+    window, with transport frozen: spectral kinetic steps would ring the
+    lattice white-noise factor out to the box edge, so
+    ``cfg.include_kinetic`` must be False (else ``ConfigError``).  Every
+    step is then a pure phase and the phases commute, so nothing is
+    stepped: s steps multiply f0 exactly by
+    d_s(Q) conj(d_s(q)) exp(-i s dt [dV_k(Q) - dV_k(q)]), where d_s sums
+    V's midpoint phases.  ``_closed_form_moments`` forms the means and
+    elementwise standard errors at every recorded time, one matrix
+    product per record and block of realizations, so memory does not
+    grow with M, on this thread and one worker, bit for bit as on one
+    thread.  The diagonal keeps f0's values exactly.  Raises
+    ``RealizationError`` when f0's tail is over the limit or a phase is
+    not finite.
     """
+    if cfg.include_kinetic:
+        raise ConfigError(
+            "noisy ensembles need the kinetic term off (include_kinetic=False): "
+            "spectral kinetic steps ring the white-noise factor out to the box edge"
+        )
     if M < 2:
         raise ConfigError("need M >= 2 realizations for error bars")
-    moments = None
-    if not cfg.include_kinetic and not V.time_dependent:
-        moments = _closed_form_moments(f0, V, spec, M, cfg)
-    if moments is None:
-        moments = _stepped_moments(f0, V, spec, M, cfg)
-    times, mean, m2 = moments
+    times, mean, m2 = _closed_form_moments(f0, V, spec, M, cfg)
     stderr = np.sqrt(m2 / ((M - 1) * M))
     return EnsembleReport(
         n_realizations=M,
@@ -328,7 +325,7 @@ def decay_predict(f0: DensityGrid, spec: NoiseSpec, t: float) -> DensityGrid:
 def compare_ensemble_vs_lindblad(
     report: EnsembleReport, traj: Trajectory, spec: NoiseSpec
 ) -> dict:
-    """Per-time distances between the averaged ensemble and the stepper.
+    """Elementwise z-scores of the stepper against the averaged ensemble.
 
     The PASS flag requires elementwise agreement within three standard
     errors over the window t * max(nu) <= 2, with a small allowance for
@@ -341,23 +338,18 @@ def compare_ensemble_vs_lindblad(
         abs(t - u) > 1e-9 * max(1.0, abs(t)) for t, u in zip(times, traj.times)
     ):
         raise ConfigError("ensemble and trajectory record different times")
-    maxnorm = []
-    l2 = []
     worst_z = 0.0
     n_checked = 0
     n_exceed = 0
     nu_max = float(spec.nu_on_grid(report.mean_states[0].grid).max())
-    for idx, (t, other) in enumerate(zip(times, traj.states)):
-        mean_state = report.mean_states[idx]
+    for t, mean_state, err, other in zip(
+        times, report.mean_states, report.stderr, traj.states
+    ):
         if other.grid != mean_state.grid:
             raise ConfigError("ensemble and trajectory grids do not match")
-        diff = np.abs(mean_state.values - other.values)
-        grid = mean_state.grid
-        maxnorm.append(float(diff.max()))
-        l2.append(float(np.sqrt((diff**2).sum()) * grid.spacing))
         if t * nu_max > 2.0:
             continue
-        err = report.stderr[idx]
+        diff = np.abs(mean_state.values - other.values)
         floor = 1e-13 * max(float(np.abs(mean_state.values).max()), 1.0)
         z = diff / np.maximum(err, floor)
         worst_z = max(worst_z, float(z.max()))
@@ -366,9 +358,6 @@ def compare_ensemble_vs_lindblad(
     exceed_fraction = n_exceed / n_checked if n_checked else 0.0
     passed = n_checked > 0 and exceed_fraction <= 0.02 and worst_z <= 6.0
     return {
-        "times": list(times),
-        "maxnorm": maxnorm,
-        "l2": l2,
         "max_z": worst_z,
         "exceed_fraction": exceed_fraction,
         "pass": passed,

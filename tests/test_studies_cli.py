@@ -266,6 +266,22 @@ def test_decoherence_study_passes():
     assert len(probe["t"]) == len(probe["abs_f"]) == len(probe["stderr"])
 
 
+def test_decoherence_fit_checks_run_for_any_potential():
+    # transport is frozen, so a potential only turns the phase: |<f>| and
+    # the fitted rate are those of the flat cat
+    harmonic = CAT_50.replace(
+        "potential.kind = constant\npotential.params.c = 0.0",
+        "potential.kind = harmonic\npotential.params.omega = 1.0",
+    )
+    assert harmonic != CAT_50
+    flat, _ = run_decoherence_study(scenario_from_text(CAT_50))
+    report, _ = run_decoherence_study(scenario_from_text(harmonic))
+    assert {"probe_0_fit_error", "probe_0_stepper_vs_closed_form"} <= set(report.checks)
+    assert abs(
+        report.metrics["probe_0_fit_ratio"] - flat.metrics["probe_0_fit_ratio"]
+    ) <= 1e-12
+
+
 def test_decoherence_zero_noise_no_decay():
     scenario = scenario_from_text(
         CAT.replace("noise.nu0 = 1.0", "noise.nu0 = 0.0")
@@ -580,6 +596,19 @@ def test_cli_seed_rejected_where_unused(tmp_path):
         main(["compare", "--scenario", write(tmp_path, HARMONIC), "--seed", "3",
               "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_decohere_with_the_kinetic_term_is_config_error(tmp_path, capsys):
+    # noisy ensembles run with transport frozen; the message names the ringing
+    text = CAT.replace("evolve.include_kinetic = false", "evolve.include_kinetic = true")
+    assert text != CAT
+    rc = main(["decohere", "--scenario", write(tmp_path, text),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    assert "ring" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -29,13 +29,10 @@ from .evolvers import (
 from .grids import (
     DensityGrid,
     GridSpec,
-    NegativeDensityWarning,
     PhaseSpaceDistribution,
     Qq_to_xp,
-    StateDiagnostics,
     XYGrid,
     boundary_fraction,
-    diagnostics,
     load_state,
     make_cat_density,
     make_gaussian_phase_space,

@@ -36,18 +36,14 @@ probability; the ``1/(2π)`` sits in the inverse.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 
 TAIL_LIMIT = 1e-12  # allowed relative boundary tail for freshly built states
-
-
-class NegativeDensityWarning(UserWarning):
-    """Reconstructed phase-space density went negative beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -94,12 +90,6 @@ class GridSpec:
         return 0.5 * self.n_points * self.momentum_spacing
 
 
-def _frozen_array(values, dtype):
-    arr = np.ascontiguousarray(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def _check_shape(grid: GridSpec, values: np.ndarray) -> None:
     if values.shape != (grid.n_points, grid.n_points):
         raise ConfigError(
@@ -111,17 +101,35 @@ def _check_shape(grid: GridSpec, values: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class PhaseSpaceDistribution:
-    """Real density f(x, p) on the phase-space lattice; axes (x, p)."""
+class _State:
+    """One representation of a state: finite ``n x n`` values, read-only.
+
+    A subclass names its value ``dtype`` and its ``axes`` label, the
+    label :func:`save_state` writes and :func:`load_state` reads.  The
+    stored array is the one given whenever it is already contiguous and
+    of that dtype, and it is made read-only, so a caller that goes on
+    writing to its array must pass a copy.
+    """
 
     grid: GridSpec
     values: np.ndarray
     time: float = 0.0
 
+    dtype: ClassVar[type]
+    axes: ClassVar[str]
+
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.ascontiguousarray(self.values, dtype=self.dtype)
         _check_shape(self.grid, vals)
-        object.__setattr__(self, "values", _frozen_array(vals, float))
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+
+
+class PhaseSpaceDistribution(_State):
+    """Real density f(x, p) on the phase-space lattice; axes (x, p)."""
+
+    dtype = float
+    axes = "x,p"
 
     def mass(self) -> float:
         """Total probability, sum f dx dp."""
@@ -130,46 +138,21 @@ class PhaseSpaceDistribution:
         )
 
 
-@dataclass(frozen=True)
-class XYGrid:
+class XYGrid(_State):
     """Complex mixed representation f(x, y); axes (x, y) with dy = 2 dx."""
 
-    grid: GridSpec
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        _check_shape(self.grid, vals)
-        object.__setattr__(self, "values", _frozen_array(vals, complex))
+    dtype = complex
+    axes = "x,y"
 
 
-@dataclass(frozen=True)
-class DensityGrid:
+class DensityGrid(_State):
     """Complex density-matrix elements f(Q, q); both axes on the x lattice."""
 
-    grid: GridSpec
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        _check_shape(self.grid, vals)
-        object.__setattr__(self, "values", _frozen_array(vals, complex))
+    dtype = complex
+    axes = "Q,q"
 
     def trace(self) -> complex:
         return complex(np.trace(self.values) * self.grid.spacing)
-
-
-@dataclass(frozen=True)
-class StateDiagnostics:
-    trace: complex
-    hermiticity_defect: float
-    min_reconstructed_density: float
-
-    def __post_init__(self):
-        if self.hermiticity_defect < 0:
-            raise DomainError("hermiticity defect cannot be negative")
 
 
 # ---------------------------------------------------------------------------
@@ -248,32 +231,27 @@ def make_cat_density(
 # centering phases reduce to sign flips for even n.
 
 
-def _centered_synthesis(values: np.ndarray, axis: int) -> np.ndarray:
-    """out[k] = Σ_j exp(+2iπ (j - n/2)(k - n/2)/n) values[j] along ``axis``."""
+def _centered_dft(values: np.ndarray, axis: int, inverse: bool) -> np.ndarray:
+    """out[k] = Σ_j exp(±2iπ (j - n/2)(k - n/2)/n) values[j] along ``axis``.
+
+    The sign is + for ``inverse`` (synthesis, momentum to y) and - for
+    analysis (y to momentum); neither carries a 1/n.
+    """
     n = values.shape[axis]
     signs = np.where(np.arange(n) % 2, -1.0, 1.0)
     shape = [1] * values.ndim
     shape[axis] = n
     s = signs.reshape(shape)
     parity = -1.0 if (n // 2) % 2 else 1.0
-    return parity * n * s * np.fft.ifft(s * values, axis=axis)
-
-
-def _centered_analysis(values: np.ndarray, axis: int) -> np.ndarray:
-    """out[j] = Σ_k exp(-2iπ (j - n/2)(k - n/2)/n) values[k] along ``axis``."""
-    n = values.shape[axis]
-    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
-    shape = [1] * values.ndim
-    shape[axis] = n
-    s = signs.reshape(shape)
-    parity = -1.0 if (n // 2) % 2 else 1.0
+    if inverse:
+        return parity * n * s * np.fft.ifft(s * values, axis=axis)
     return parity * s * np.fft.fft(s * values, axis=axis)
 
 
 def xp_to_xy(f: PhaseSpaceDistribution) -> XYGrid:
     """Transform the momentum axis: f(x, y) = Σ_p dp e^{ipy} f(x, p)."""
-    vals = f.grid.momentum_spacing * _centered_synthesis(
-        f.values.astype(complex), axis=1
+    vals = f.grid.momentum_spacing * _centered_dft(
+        f.values.astype(complex), axis=1, inverse=True
     )
     return XYGrid(f.grid, vals, f.time)
 
@@ -285,7 +263,9 @@ def xy_to_xp(f: XYGrid) -> PhaseSpaceDistribution:
     lawful (Hermitian-symmetric) input is at rounding level and dropped.
     """
     grid = f.grid
-    vals = _centered_analysis(f.values, axis=1) / (grid.n_points * grid.momentum_spacing)
+    vals = _centered_dft(f.values, axis=1, inverse=False) / (
+        grid.n_points * grid.momentum_spacing
+    )
     return PhaseSpaceDistribution(grid, vals.real, f.time)
 
 
@@ -357,13 +337,12 @@ def Qq_to_xp(f: DensityGrid) -> PhaseSpaceDistribution:
 
 
 def boundary_frame(values: np.ndarray) -> float:
-    """Largest magnitude on the boundary frame: first and last row and column."""
-    return max(
-        float(np.abs(values[0, :]).max()),
-        float(np.abs(values[-1, :]).max()),
-        float(np.abs(values[:, 0]).max()),
-        float(np.abs(values[:, -1]).max()),
-    )
+    """Largest magnitude on the boundary frame: first and last row and column.
+
+    One reduction over all four edges, so a NaN on any edge gives NaN.
+    """
+    edges = np.concatenate((values[0], values[-1], values[:, 0], values[:, -1]))
+    return float(np.abs(edges).max())
 
 
 def boundary_fraction(values: np.ndarray) -> float:
@@ -379,35 +358,9 @@ def hermiticity_defect(values: np.ndarray) -> float:
     return float(np.abs(values - values.conj().T).max())
 
 
-def diagnostics(f: DensityGrid) -> StateDiagnostics:
-    """Trace, Hermiticity defect and reconstructed-density minimum.
-
-    A reconstructed density that dips negative beyond rounding level is
-    reported as-is and flagged with :class:`NegativeDensityWarning`;
-    it is never clipped.
-    """
-    tr = f.trace()
-    defect = hermiticity_defect(f.values)
-    reconstructed = Qq_to_xp(f).values
-    min_density = float(reconstructed.min())
-    peak = float(np.abs(reconstructed).max())
-    if min_density < -1e-12 * max(peak, 1.0):
-        warnings.warn(
-            f"reconstructed density reaches {min_density:.3e}",
-            NegativeDensityWarning,
-            stacklevel=2,
-        )
-    return StateDiagnostics(tr, defect, min_density)
-
-
 # ---------------------------------------------------------------------------
 # serialization: text CSV, exact round trip via shortest-repr floats
 
-_AXES = {
-    PhaseSpaceDistribution: "x,p",
-    XYGrid: "x,y",
-    DensityGrid: "Q,q",
-}
 _HEADER_RE = re.compile(
     r"^# grid n=(\d+) L=([^ ]+) axes=([A-Za-z]+,[A-Za-z]+) time=(.+)$"
 )
@@ -415,12 +368,11 @@ _HEADER_RE = re.compile(
 
 def save_state(state, path) -> None:
     """Write a state as CSV: header line, then ``i,j,re,im`` rows."""
-    axes = _AXES[type(state)]
     grid = state.grid
     vals = np.asarray(state.values, dtype=complex)
     n = grid.n_points
     lines = [
-        f"# grid n={n} L={float(grid.half_width)!r} axes={axes} "
+        f"# grid n={n} L={float(grid.half_width)!r} axes={state.axes} "
         f"time={float(state.time)!r}"
     ]
     re_part = vals.real.tolist()
@@ -443,7 +395,10 @@ def load_state(path):
             raise ConfigError(f"unrecognized state header: {header!r}")
         n = int(match.group(1))
         half_width = float(match.group(2))
-        axes = match.group(3)
+        kinds = {kind.axes: kind for kind in _State.__subclasses__()}
+        kind = kinds.get(match.group(3))
+        if kind is None:
+            raise ConfigError(f"unknown axes {match.group(3)!r}")
         time = float(match.group(4))
         vals = np.zeros((n, n), dtype=complex)
         for line in fh:
@@ -452,11 +407,6 @@ def load_state(path):
                 continue
             i_s, j_s, re_s, im_s = line.split(",")
             vals[int(i_s), int(j_s)] = complex(float(re_s), float(im_s))
-    grid = GridSpec(n, half_width)
-    if axes == "x,p":
-        return PhaseSpaceDistribution(grid, vals.real, time)
-    if axes == "x,y":
-        return XYGrid(grid, vals, time)
-    if axes == "Q,q":
-        return DensityGrid(grid, vals, time)
-    raise ConfigError(f"unknown axes {axes!r}")
+    if kind.dtype is float:
+        vals = vals.real  # written with a zero imaginary column
+    return kind(GridSpec(n, half_width), vals, time)

@@ -80,14 +80,6 @@ SCHEMA = {
 _NUMERIC = ("float", "float_or_list", "list")  # type tags whose values are numbers
 _ENGINES = ("classical", "qq", "vonneumann")
 _STATE_KINDS = ("gaussian", "cat")
-_POTENTIAL_KINDS = (
-    "constant",
-    "linear",
-    "harmonic",
-    "quartic",
-    "polynomial",
-    "piecewise_linear",
-)
 
 
 def parse_scenario_text(text: str) -> dict:
@@ -281,9 +273,6 @@ def _validate(mapping: dict) -> dict:
     settings = {key: default for key, (_, default) in SCHEMA.items()}
     settings.update(mapping)
 
-    kind = settings["potential.kind"]
-    if kind is not None and kind not in _POTENTIAL_KINDS:
-        raise ConfigError(f"potential.kind must be one of {_POTENTIAL_KINDS}")
     if settings["state.kind"] not in _STATE_KINDS:
         raise ConfigError(f"state.kind must be one of {_STATE_KINDS}")
     if settings["evolve.engine"] not in _ENGINES:
@@ -291,10 +280,6 @@ def _validate(mapping: dict) -> dict:
     # EvolverConfig checks dt too, but build_evolver_config divides by it first
     if settings["evolve.dt"] <= 0:
         raise ConfigError("evolve.dt must be positive")
-    if settings["evolve.t_final"] <= 0:
-        raise ConfigError("evolve.t_final must be positive")
-    if settings["evolve.record_every"] < 0:
-        raise ConfigError("evolve.record_every must be >= 0")
     if settings["noise.nu0"] < 0:
         raise ConfigError("noise.nu0 must be >= 0")
     if settings["ensemble.realizations"] < 2:
@@ -313,7 +298,7 @@ def _validate(mapping: dict) -> dict:
     scenario = Scenario(settings)
     # construct everything up front so invalid scenarios fail before compute
     scenario.build_grid()
-    if kind is not None:
+    if settings["potential.kind"] is not None:
         scenario.build_potential()
     scenario.build_evolver_config()
     scenario.build_noise_spec()

@@ -1,4 +1,4 @@
-"""Grid containers, transforms, diagnostics, serialization."""
+"""Grid containers, transforms, state invariants, serialization."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from liouq import (
     PhaseSpaceDistribution,
     Qq_to_xp,
     XYGrid,
-    diagnostics,
     load_state,
     make_cat_density,
     make_gaussian_phase_space,
@@ -23,6 +22,7 @@ from liouq import (
     xy_to_xp,
 )
 from liouq.errors import ConfigError, DomainError
+from liouq.grids import boundary_frame, hermiticity_defect
 
 SIGMA = 1.0 / np.sqrt(2.0)
 
@@ -168,44 +168,89 @@ def test_trace_equals_total_mass(gaussian64):
     assert abs(fqq.trace().imag) <= 1e-12
 
 
+def _invariants(f: DensityGrid):
+    """Trace, Hermiticity defect and reconstructed-density minimum of ``f``."""
+    return f.trace(), hermiticity_defect(f.values), float(Qq_to_xp(f).values.min())
+
+
 def test_diagnostics_normalized_state(gaussian64):
-    d = diagnostics(xp_to_Qq(gaussian64))
-    assert d.trace.real == pytest.approx(1.0, abs=1e-9)
-    assert d.hermiticity_defect <= 1e-12
-    assert d.min_reconstructed_density >= -1e-9
+    trace, defect, min_density = _invariants(xp_to_Qq(gaussian64))
+    assert trace.real == pytest.approx(1.0, abs=1e-9)
+    assert defect <= 1e-12
+    assert min_density >= -1e-9
 
 
 def test_diagnostics_invariant_under_swap_conjugate(gaussian64):
     fqq = xp_to_Qq(gaussian64)
     swapped = DensityGrid(fqq.grid, fqq.values.conj().T, fqq.time)
-    d1 = diagnostics(fqq)
-    d2 = diagnostics(swapped)
-    assert d1.trace == pytest.approx(d2.trace, abs=1e-12)
-    assert d1.hermiticity_defect == pytest.approx(d2.hermiticity_defect, abs=1e-15)
-    assert d1.min_reconstructed_density == pytest.approx(
-        d2.min_reconstructed_density, abs=1e-12
-    )
+    t1, h1, m1 = _invariants(fqq)
+    t2, h2, m2 = _invariants(swapped)
+    assert t1 == pytest.approx(t2, abs=1e-12)
+    assert h1 == pytest.approx(h2, abs=1e-15)
+    assert m1 == pytest.approx(m2, abs=1e-12)
 
 
 def test_diagnostics_detects_constructed_defect(gaussian64):
-    import warnings
-
     fqq = xp_to_Qq(gaussian64)
     eps = 1e-3
     vals = fqq.values.copy()
     vals[3, 9] += 1j * eps  # no mirror update
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", lq.NegativeDensityWarning)
-        d = diagnostics(DensityGrid(fqq.grid, vals))
-    assert d.hermiticity_defect >= eps
+    _, defect, _ = _invariants(DensityGrid(fqq.grid, vals))
+    assert defect >= eps
 
 
 def test_cat_state_negativity_is_reported(grid64):
     cat = make_cat_density(grid64, 4.0, 0.7)
-    assert cat.trace().real == pytest.approx(1.0, abs=1e-12)
-    with pytest.warns(lq.NegativeDensityWarning):
-        d = diagnostics(cat)
-    assert d.min_reconstructed_density < 0  # interference ridge, never clipped
+    trace, _, min_density = _invariants(cat)
+    assert trace.real == pytest.approx(1.0, abs=1e-12)
+    # the interference ridge goes negative beyond rounding; never clipped
+    assert min_density < -1e-12 * max(np.abs(Qq_to_xp(cat).values).max(), 1.0)
+
+
+@pytest.mark.parametrize(
+    "edge", [(0, 17), (-1, 17), (17, 0), (17, -1)], ids=["top", "bottom", "left", "right"]
+)
+def test_boundary_frame_propagates_nan_on_every_edge(grid32, edge):
+    vals = np.ones((grid32.n_points, grid32.n_points), dtype=complex)
+    vals[edge] = np.nan
+    assert np.isnan(boundary_frame(vals))
+
+
+def test_boundary_frame_is_the_largest_edge_magnitude():
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    edges = [vals[0, :], vals[-1, :], vals[:, 0], vals[:, -1]]
+    assert boundary_frame(vals) == max(float(np.abs(e).max()) for e in edges)
+
+
+@pytest.mark.parametrize(
+    "kind, dtype",
+    [
+        (PhaseSpaceDistribution, np.float64),
+        (XYGrid, np.complex128),
+        (DensityGrid, np.complex128),
+    ],
+    ids=lambda p: getattr(p, "__name__", None),
+)
+def test_state_types_share_one_storage_rule(grid32, kind, dtype):
+    n = grid32.n_points
+    state = kind(grid32, np.arange(n * n).reshape(n, n))  # integers are cast
+    assert state.values.dtype == dtype
+    assert state.time == 0.0
+    assert repr(state).startswith(f"{kind.__name__}(grid=")
+    with pytest.raises(ValueError):
+        state.values[0, 0] = 1.0
+    # a contiguous array of the state's dtype is stored, not copied
+    given = np.zeros((n, n), dtype=dtype)
+    assert kind(grid32, given).values is given
+    assert not given.flags.writeable
+    with pytest.raises(ConfigError, match="does not match grid"):
+        kind(grid32, np.zeros((n, n - 2)))
+    for bad in (np.nan, np.inf):
+        vals = np.zeros((n, n))
+        vals[1, 2] = bad
+        with pytest.raises(DomainError, match="finite"):
+            kind(grid32, vals)
 
 
 @pytest.mark.parametrize("maker", ["xp", "xy", "qq"])
@@ -222,6 +267,9 @@ def test_serialization_roundtrip(tmp_path, gaussian64, maker):
     assert loaded.grid == state.grid
     assert loaded.time == state.time
     assert np.abs(np.asarray(loaded.values) - np.asarray(state.values)).max() <= 1e-15
+    axes = {"xp": "x,p", "xy": "x,y", "qq": "Q,q"}[maker]
+    assert f" axes={axes} " in path.read_text().splitlines()[0]
+    assert loaded.axes == state.axes == axes
 
 
 def test_serialization_header_format(tmp_path, gaussian64):

@@ -141,6 +141,22 @@ def test_validation_happens_before_compute():
         scenario_from_text(MINIMAL + "evolve.engine = magic\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # each value is rejected by the builder that _validate calls
+        ("potential.kind = magic\n", "unknown potential.kind 'magic'"),
+        (MINIMAL + "evolve.t_final = 0.0\n", "t_final must be a positive multiple"),
+        (MINIMAL + "evolve.t_final = -1.0\n", "t_final must be a positive multiple"),
+        (MINIMAL + "evolve.record_every = -1\n", "record_every must be at least 1"),
+    ],
+    ids=["kind", "t_final-zero", "t_final-negative", "record_every"],
+)
+def test_builders_reject_at_load_time(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        scenario_from_text(text)
+
+
 SCENARIOS = sorted((Path(__file__).parents[1] / "scenarios").glob("*.cfg"))
 
 # the Polynomial each shorthand kind stands for, from its parameters

@@ -93,15 +93,19 @@ def _resolve_outdir(args, scenario) -> Path:
 
 
 def _run_study(args, scenario):
+    if args.command in ("evolve", "decohere"):
+        # each option given overrides its scenario key, so the hash covers it
+        keys = {"engine": "evolve.engine", "seed": "noise.seed",
+                "realizations": "ensemble.realizations"}
+        given = {key: getattr(args, opt, None) for opt, key in keys.items()}
+        settings = {k: v for k, v in given.items() if v is not None}
+        scenario = Scenario({**scenario.settings, **settings})
     if args.command == "evolve":
-        return studies.run_evolve_study(scenario, engine=args.engine)
+        return studies.run_evolve_study(scenario)
     if args.command == "compare":
         return studies.run_equivalence_study(scenario)
     if args.command == "decohere":
-        # each option given overrides its scenario key, so the hash covers it
-        overrides = {"noise.seed": args.seed, "ensemble.realizations": args.realizations}
-        settings = {k: v for k, v in overrides.items() if v is not None}
-        return studies.run_decoherence_study(Scenario({**scenario.settings, **settings}))
+        return studies.run_decoherence_study(scenario)
     if args.command == "void":
         return studies.run_void_study(
             args.dr,

@@ -61,10 +61,11 @@ and the one ``TimeStepWarning`` come from the stepped kernel alone.  The
 states agree with the stepped kernel's to rounding (about 1e-12 of the
 peak after 6000 steps).
 
-Two studies run work on one worker thread beside the caller's through
-``_Worker``: the equivalence study steps the classical engine there, and
-the quenched closed form in ``stochastic`` splits its records there.  A
-job that fails sets a stop event that ``_strang`` polls at records and
+Two studies run a job on a second thread through ``_beside``, which
+starts one thread per call and joins it before it returns: the
+equivalence study steps the classical engine there, and the quenched
+closed form in ``stochastic`` splits its records there.  A job that
+fails sets a stop event that ``_strang`` polls at records and
 ``_dense_density`` at its stops, through a context variable the caller's
 thread alone sees, so the engines on the caller's thread end there; the
 job's error is raised.
@@ -82,7 +83,6 @@ import contextvars
 import sys
 import threading
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import List
 
@@ -181,7 +181,7 @@ def _record_steps(cfg: EvolverConfig) -> set:
 
 
 # ---------------------------------------------------------------------------
-# one worker thread beside the caller
+# one job on a second thread beside the caller
 
 _STOP: contextvars.ContextVar = contextvars.ContextVar("liouq_stop", default=None)
 
@@ -195,81 +195,38 @@ def _check_stop(stop_event: threading.Event | None) -> None:
         raise _Stopped
 
 
-class _Worker:
-    """One worker thread beside the caller's, for a ``with`` block.
+def _beside(job, own):
+    """``(job(), own())``, with ``job`` on one new thread beside the caller's.
 
-    ``submit(fn, *args)`` queues a job and ``wait()`` returns the results
-    of the jobs queued since the last wait.  The thread starts at the
-    first job, runs the jobs in order and is joined on leaving the block,
-    on every path.  A job error is raised in preference to an error of
-    the block itself.  It also sets ``stop``, which the engines on the
-    caller's thread poll, ``_strang`` at records and ``_dense_density``
-    at its stops, so they end there instead of running to completion.
-    Jobs run in the worker thread's own context, so under numpy's
-    default ``errstate``.
+    ``own`` runs on the caller's thread with ``_STOP`` set to an event
+    that a failing ``job`` sets, so the engines there end at their next
+    poll (``_strang`` at records, ``_dense_density`` at its stops).  The
+    thread is joined on every path.  A job error is raised in preference
+    to one of ``own``, as in a sequential run that calls ``job`` first.
+    The job runs in the thread's own context, so under numpy's default
+    ``errstate``.
     """
+    stop = threading.Event()
+    done: dict = {}
 
-    def __init__(self):
-        self.stop = threading.Event()
-        self.error: BaseException | None = None
-        self._jobs: deque = deque()
-        self._results: list = []
-        self._queued = threading.Semaphore(0)
-        self._finished = threading.Semaphore(0)
-        self._pending = 0
-        self._thread = threading.Thread(target=self._serve, name="liouq-worker")
+    def run() -> None:
+        try:
+            done["result"] = job()
+        except BaseException as exc:  # raised again on the caller's thread
+            done["error"] = exc
+            stop.set()
 
-    def __enter__(self) -> "_Worker":
-        self._token = _STOP.set(self.stop)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _STOP.reset(self._token)
-        if self._thread.ident is not None:
-            self._jobs.append(None)
-            self._queued.release()
-            self._thread.join()
-        if self.error is not None:
-            raise self.error from None
-
-    def _serve(self) -> None:
-        while True:
-            self._queued.acquire()
-            job = self._jobs.popleft()
-            if job is None:
-                return
-            result = None
-            if self.error is None:
-                fn, args = job
-                try:
-                    result = fn(*args)
-                except BaseException as exc:  # re-raised on the caller's thread
-                    self.error = exc
-                    self.stop.set()
-            self._results.append(result)
-            self._finished.release()
-
-    def submit(self, fn, *args) -> None:
-        """Queue ``fn(*args)``, to run after every job queued before it."""
-        if self._thread.ident is None:
-            self._thread.start()
-        self._pending += 1
-        self._jobs.append((fn, args))
-        self._queued.release()
-
-    def wait(self) -> list:
-        """The results of the jobs queued since the last wait, in order.
-
-        Raises the first job error instead; jobs queued after the failed
-        one are skipped.
-        """
-        for _ in range(self._pending):
-            self._finished.acquire()
-        self._pending = 0
-        results, self._results = self._results, []
-        if self.error is not None:
-            raise self.error
-        return results
+    thread = threading.Thread(target=run, name="liouq-worker")
+    thread.start()
+    token = _STOP.set(stop)
+    try:
+        mine = own()
+    finally:
+        _STOP.reset(token)
+        thread.join()
+        if "error" in done:
+            raise done["error"] from None
+    return done["result"], mine
 
 
 def _midpoint_phase(sample, build, time_dependent: bool, t0: float, dt: float):
@@ -415,9 +372,8 @@ def liouville_evolve_xp(
     dt = cfg.dt
     kin_half = None
     if cfg.include_kinetic:
-        kx = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.spacing)
-        ky = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.y_spacing)
-        kin_half = np.exp(-0.5j * dt * np.outer(kx, ky))
+        kx = grid.wavenumbers
+        kin_half = np.exp(-0.5j * dt * np.outer(kx, 0.5 * kx))
 
     phase = _midpoint_phase(
         lambda t: v.derivative(grid.x, t),
@@ -446,7 +402,7 @@ def _density_kinetic_half(grid: GridSpec, cfg: EvolverConfig) -> np.ndarray | No
     """Half-step factor exp(-i dt [k^2(Q) - k^2(q)] / 4), or None if frozen."""
     if not cfg.include_kinetic:
         return None
-    k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.spacing)) ** 2
+    k2 = grid.wavenumbers**2
     return np.exp(-0.25j * cfg.dt * (k2[:, None] - k2[None, :]))
 
 
@@ -516,7 +472,7 @@ def _spectral_operator(grid: GridSpec, symbol) -> np.ndarray:
     ``symbol`` must be even in k, which makes the matrix symmetric; the
     result is symmetrized so that it is so exactly.
     """
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.spacing)
+    k = grid.wavenumbers
     eye = np.eye(grid.n_points)
     op = np.fft.ifft(symbol(k)[:, None] * np.fft.fft(eye, axis=0), axis=0)
     return 0.5 * (op + op.T)

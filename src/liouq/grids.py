@@ -68,6 +68,11 @@ class GridSpec:
         return (np.arange(self.n_points) - self.n_points // 2) * self.spacing
 
     @property
+    def wavenumbers(self) -> np.ndarray:
+        """2π fftfreq(n, dx) in FFT order; the y lattice's are exactly half."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, self.spacing)
+
+    @property
     def y_spacing(self) -> float:
         return 2.0 * self.spacing
 
@@ -271,9 +276,8 @@ def xy_to_xp(f: XYGrid) -> PhaseSpaceDistribution:
 
 def _half_cell_shift(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Sample the trig interpolant of f(x, y) at (x + dx/2, y + dy/2)."""
-    n = grid.n_points
-    kx = 2.0 * np.pi * np.fft.fftfreq(n, grid.spacing)
-    ky = 2.0 * np.pi * np.fft.fftfreq(n, grid.y_spacing)
+    kx = grid.wavenumbers
+    ky = 0.5 * kx
     phase = np.exp(
         1j * (kx[:, None] * (grid.spacing / 2.0) + ky[None, :] * grid.spacing)
     )
@@ -387,7 +391,10 @@ def save_state(state, path) -> None:
 
 
 def load_state(path):
-    """Read a state written by :func:`save_state`."""
+    """Read a state written by :func:`save_state`.
+
+    The body must hold one ``i,j,re,im`` row per grid cell, else ``ConfigError``.
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         match = _HEADER_RE.match(header)
@@ -401,12 +408,19 @@ def load_state(path):
             raise ConfigError(f"unknown axes {match.group(3)!r}")
         time = float(match.group(4))
         vals = np.zeros((n, n), dtype=complex)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i_s, j_s, re_s, im_s = line.split(",")
-            vals[int(i_s), int(j_s)] = complex(float(re_s), float(im_s))
+        seen = np.zeros((n, n), dtype=bool)
+        for line in filter(str.strip, fh):
+            try:
+                i_s, j_s, re_s, im_s = line.split(",")
+                i, j, value = int(i_s), int(j_s), complex(float(re_s), float(im_s))
+            except ValueError:
+                raise ConfigError(f"not an i,j,re,im row: {line.strip()!r}") from None
+            if not (0 <= i < n and 0 <= j < n) or seen[i, j]:
+                raise ConfigError(f"cell ({i}, {j}) is off the grid or repeated")
+            seen[i, j] = True
+            vals[i, j] = value
+    if not seen.all():
+        raise ConfigError(f"state file holds {seen.sum()} of {n * n} cells")
     if kind.dtype is float:
         vals = vals.real  # written with a zero imaginary column
     return kind(GridSpec(n, half_width), vals, time)

@@ -78,6 +78,7 @@ SCHEMA = {
 }
 
 _NUMERIC = ("float", "float_or_list", "list")  # type tags whose values are numbers
+_AS_IS = {"bool": bool, "str": str, "list": list}  # type tags kept as parsed
 _ENGINES = ("classical", "qq", "vonneumann")
 _STATE_KINDS = ("gaussian", "cat")
 
@@ -123,32 +124,19 @@ def _finite(value) -> bool:
 def _coerce(key: str, value):
     tag = SCHEMA[key][0]
     try:
+        if tag in _AS_IS:
+            if not isinstance(value, _AS_IS[tag]):
+                raise ValueError
+            return value
+        if tag == "float_or_list" and isinstance(value, list):
+            return value
+        if isinstance(value, bool):
+            raise ValueError
         if tag == "int":
-            if isinstance(value, bool) or int(value) != float(value):
+            if int(value) != float(value):
                 raise ValueError
             return int(value)
-        if tag == "float":
-            if isinstance(value, bool):
-                raise ValueError
-            return float(value)
-        if tag == "bool":
-            if not isinstance(value, bool):
-                raise ValueError
-            return value
-        if tag == "str":
-            if not isinstance(value, str):
-                raise ValueError
-            return value
-        if tag == "list":
-            if not isinstance(value, list):
-                raise ValueError
-            return value
-        if tag == "float_or_list":
-            if isinstance(value, list):
-                return value
-            if isinstance(value, bool):
-                raise ValueError
-            return float(value)
+        return float(value)  # "float" and "float_or_list"
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"key {key!r}: expected {tag}, got {value!r}")

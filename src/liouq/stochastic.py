@@ -40,8 +40,8 @@ from .evolvers import (
     Trajectory,
     _potential_phase,
     _record_steps,
+    _beside,
     _strang_density,
-    _Worker,
 )
 from .grids import DensityGrid, GridSpec, boundary_fraction
 from .potentials import Potential
@@ -142,13 +142,13 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     come from one pass over its streams (``streams.normal_rows``).
 
     With more than one record, the records are split by parity between
-    this thread and one worker thread (``evolvers._Worker``).  Per block,
-    this thread draws the rows and builds b_g while the worker waits,
-    so no GIL-bound draw runs beside the worker's products.  Then both
-    threads step the rows from record 0, and each adds the block to its
-    own records' sums only; at the end each finishes its own records'
-    mean and M2.  So every record's sums take the same operands in the
-    same block order as on one thread, bit for bit, and no second
+    this thread and a second one, one ``evolvers._beside`` call per
+    block: this thread draws the block's rows and builds b_g first, so no
+    GIL-bound draw runs beside the second thread's products.  Both
+    threads then step the rows from record 0, each adding the block to
+    its own records' sums only, and one more call finishes each side's
+    records' mean and M2.  So every record's sums take the same operands
+    in the same block order as on one thread, bit for bit, and no second
     accumulator is needed.
 
     Raises ``RealizationError`` for the first failing realization: 0
@@ -173,7 +173,8 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     pair = np.zeros((len(steps), n, n), dtype=complex)
     first = np.zeros((len(steps), n), dtype=complex)
 
-    def accumulate(b_gap: dict, own: range) -> None:
+    def accumulate(own: range) -> None:
+        # adds the current block, whose b_g are ``b_gap``
         b = np.zeros_like(b_gap[gaps[0]])
         update = np.empty_like(b)
         for r, g in enumerate(gaps):
@@ -200,29 +201,29 @@ def _closed_form_moments(f0, V, spec, M, cfg):
 
     records = range(len(steps))
     mine, theirs = records[0::2], records[1::2]
-    with _Worker() as helper:
-        for start in range(0, M, _BLOCK):
-            ks = range(start, min(start + _BLOCK, M))
-            dv = profile * normal_rows(spec.seed, ks, n)
-            finite = np.isfinite(dv).all(axis=1)
-            if not finite.all():
-                cause = DomainError("noise field is not finite")
-                raise RealizationError(ks[int(np.argmin(finite))], cause) from cause
-            b_gap = {g: _phase_minus_one((g * cfg.dt) * dv) for g in set(gaps)}
-            if theirs:
-                helper.submit(accumulate, b_gap, theirs)
-            accumulate(b_gap, mine)
-            helper.wait()
-        times = [f0.time] + [f0.time + step * cfg.dt for step in steps]
-        mean = np.empty((len(times), n, n), dtype=complex)
-        m2 = np.zeros(mean.shape)
-        mean[0] = f0.values
-        abs_f0_sq = np.abs(f0.values) ** 2
-        diag = np.diag_indices(n)
+
+    def split(work) -> None:  # one record starts no thread
         if theirs:
-            helper.submit(finish, theirs)
-        finish(mine)
-        helper.wait()
+            _beside(lambda: work(theirs), lambda: work(mine))
+        else:
+            work(mine)
+
+    for start in range(0, M, _BLOCK):
+        ks = range(start, min(start + _BLOCK, M))
+        dv = profile * normal_rows(spec.seed, ks, n)
+        finite = np.isfinite(dv).all(axis=1)
+        if not finite.all():
+            cause = DomainError("noise field is not finite")
+            raise RealizationError(ks[int(np.argmin(finite))], cause) from cause
+        b_gap = {g: _phase_minus_one((g * cfg.dt) * dv) for g in set(gaps)}
+        split(accumulate)
+    times = [f0.time] + [f0.time + step * cfg.dt for step in steps]
+    mean = np.empty((len(times), n, n), dtype=complex)
+    m2 = np.zeros(mean.shape)
+    mean[0] = f0.values
+    abs_f0_sq = np.abs(f0.values) ** 2
+    diag = np.diag_indices(n)
+    split(finish)
     return times, mean, m2
 
 
@@ -245,7 +246,7 @@ def ensemble_evolve(
     V's midpoint phases.  ``_closed_form_moments`` forms the means and
     elementwise standard errors at every recorded time, one matrix
     product per record and block of realizations, so memory does not
-    grow with M, on this thread and one worker, bit for bit as on one
+    grow with M, on this thread and a second one, bit for bit as on one
     thread.  The diagonal keeps f0's values exactly.  Raises
     ``RealizationError`` when f0's tail is over the limit or a phase is
     not finite.

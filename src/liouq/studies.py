@@ -22,8 +22,8 @@ from .causet import SprinkleRegion, void_probability_mc
 from .errors import ConfigError, DomainError
 from .evolvers import (
     TimeStepWarning,
+    _beside,
     _check_dt_guard,
-    _Worker,
     dense_generator,
     liouville_evolve_xp,
     qq_liouville_evolve,
@@ -106,14 +106,13 @@ def _drift_metrics(traj, engine: str) -> dict:
     }
 
 
-def run_evolve_study(scenario: Scenario, engine=None):
-    """Run one engine and keep every recorded state; no checks.
+def run_evolve_study(scenario: Scenario):
+    """Run the scenario's ``evolve.engine`` and keep every state; no checks.
 
-    ``engine`` defaults to the scenario's ``evolve.engine``.  The report
-    carries the engine, its conservation drift and the recorded times;
-    the curves hold the states as ``snapshot_NNNN`` snapshots.
+    The report carries the engine, its conservation drift and the recorded
+    times; the curves hold the states as ``snapshot_NNNN`` snapshots.
     """
-    engine = engine or scenario["evolve.engine"]
+    engine = scenario["evolve.engine"]
     v = scenario.build_potential()
     cfg = scenario.build_evolver_config()
     if engine == "classical":
@@ -146,13 +145,14 @@ def run_equivalence_study(scenario: Scenario):
     the classical one, to ``IDENTITY_TOL`` of that divergence at every
     record after the initial state.
 
-    The classical engine steps on one worker thread while this thread
-    steps the density engines: they share only read-only inputs, and
-    the FFT and BLAS calls release the GIL, so the states are those of
-    a sequential run bit for bit.  A classical failure is raised in
-    preference to a density one, as in a sequential run, and stops the
-    density engines at their next record or checkpoint.  The dt guard
-    warns once, naming this function's caller, before the engines run.
+    The classical engine steps on a second thread (``evolvers._beside``)
+    while this thread steps the density engines: they share only
+    read-only inputs, and the FFT and BLAS calls release the GIL, so the
+    states are those of a sequential run bit for bit.  A classical
+    failure is raised in preference to a density one, as in a sequential
+    run, and stops the density engines at their next record or
+    checkpoint.  The dt guard warns once, naming this function's caller,
+    before the engines run.
     """
     grid = scenario.build_grid()
     v = scenario.build_potential()
@@ -161,14 +161,14 @@ def run_equivalence_study(scenario: Scenario):
     f0_qq = xp_to_Qq(f0_xp)
 
     _check_dt_guard(cfg, grid)
-    # the filter list is process-wide, so it covers the worker, and it is
-    # set and restored here, before the start and after the join
-    with warnings.catch_warnings(), _Worker() as helper:
+    # the filter list is process-wide, so it covers the second thread, and
+    # it is set and restored here, before the start and after the join
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", TimeStepWarning)
-        helper.submit(liouville_evolve_xp, f0_xp, v, cfg)
-        quantum = von_neumann_evolve(f0_qq, v, cfg)
-        coupled = qq_liouville_evolve(f0_qq, v, cfg)
-        (classical,) = helper.wait()
+        classical, (quantum, coupled) = _beside(
+            lambda: liouville_evolve_xp(f0_xp, v, cfg),
+            lambda: (von_neumann_evolve(f0_qq, v, cfg), qq_liouville_evolve(f0_qq, v, cfg)),
+        )
 
     times = classical.times
     classical_qq = [xp_to_Qq(state).values for state in classical.states]

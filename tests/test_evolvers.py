@@ -718,22 +718,25 @@ def test_dense_stops_checkpoint_each_record_interval():
 
 
 # ---------------------------------------------------------------------------
-# the worker thread
+# one job on a second thread
 
 
-def test_worker_runs_jobs_in_order_and_joins():
+def test_beside_runs_the_job_on_a_new_thread_and_joins_it():
     before = threading.active_count()
-    ran = []
-    with evolvers._Worker() as helper:
-        assert threading.active_count() == before  # starts at the first job
-        for k in range(3):
-            helper.submit(lambda k: ran.append(k) or k * k, k)
-        assert helper.wait() == [0, 1, 4]
-        helper.submit(threading.get_ident)
-        (ident,) = helper.wait()
-        assert helper.wait() == []
-    assert ran == [0, 1, 2] and ident != threading.get_ident()
+    caller = threading.get_ident()
+    job_ident, own_ident = evolvers._beside(threading.get_ident, threading.get_ident)
+    assert own_ident == caller and job_ident != caller
     assert threading.active_count() == before
+    # only the caller's side sees the stop event, and only during the call;
+    # the job runs in the new thread's context, under numpy's default errstate
+    with np.errstate(all="raise"):
+        (job_stop, job_err), (own_stop, own_err) = evolvers._beside(
+            lambda: (evolvers._STOP.get(), np.geterr()),
+            lambda: (evolvers._STOP.get(), np.geterr()),
+        )
+    assert job_stop is None and isinstance(own_stop, threading.Event)
+    assert evolvers._STOP.get() is None
+    assert job_err["over"] == "warn" and own_err["over"] == "raise"
 
 
 def test_worker_error_reaches_the_caller_in_preference_to_its_own():
@@ -742,17 +745,15 @@ def test_worker_error_reaches_the_caller_in_preference_to_its_own():
     def fail():
         raise ValueError("worker job")
 
-    later = []
+    def own_fails():
+        raise KeyError("caller")
+
     with pytest.raises(ValueError, match="worker job"):
-        with evolvers._Worker() as helper:
-            helper.submit(fail)
-            helper.submit(later.append, 1)
-            helper.wait()
-    assert later == []  # jobs after a failed one are skipped
+        evolvers._beside(fail, lambda: 1)
     with pytest.raises(ValueError, match="worker job"):
-        with evolvers._Worker() as helper:
-            helper.submit(fail)
-            raise KeyError("caller")
+        evolvers._beside(fail, own_fails)
+    with pytest.raises(KeyError, match="caller"):
+        evolvers._beside(lambda: 1, own_fails)
     assert threading.active_count() == before
 
 
@@ -769,11 +770,12 @@ def test_worker_error_stops_the_callers_engines(grid64):
     def fail():
         raise ValueError("worker job")
 
+    def own():
+        assert evolvers._STOP.get().wait(timeout=60)
+        return evolvers._strang_density(f0, cfg, phase, None)
+
     with pytest.raises(ValueError, match="worker job"):
-        with evolvers._Worker() as helper:
-            helper.submit(fail)
-            assert helper.stop.wait(timeout=60)
-            evolvers._strang_density(f0, cfg, phase, None)
+        evolvers._beside(fail, own)
     assert steps == list(range(1, 11))
 
 

@@ -27,6 +27,15 @@ from liouq.grids import boundary_frame, hermiticity_defect
 SIGMA = 1.0 / np.sqrt(2.0)
 
 
+@pytest.mark.parametrize("L", [0.5, 1.0, 3.7, 6.0, 10.0, 23.3])
+def test_y_wavenumbers_are_half_the_x_ones(L):
+    for n in range(8, 257, 2):
+        grid = GridSpec(n, L)
+        k = grid.wavenumbers
+        assert np.array_equal(k, 2.0 * np.pi * np.fft.fftfreq(n, grid.spacing))
+        assert np.array_equal(0.5 * k, 2.0 * np.pi * np.fft.fftfreq(n, grid.y_spacing))
+
+
 def test_grid_spec_coupling():
     grid = GridSpec(64, 8.0)
     assert grid.spacing == pytest.approx(0.25)
@@ -270,6 +279,31 @@ def test_serialization_roundtrip(tmp_path, gaussian64, maker):
     axes = {"xp": "x,p", "xy": "x,y", "qq": "Q,q"}[maker]
     assert f" axes={axes} " in path.read_text().splitlines()[0]
     assert loaded.axes == state.axes == axes
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rows: rows[:9],
+        lambda rows: rows + ["0,0,5.0,0.0"],
+        lambda rows: rows[:-1] + [rows[0]],
+        lambda rows: rows[:-1] + ["9,7,1.0,0.0"],
+        lambda rows: rows[:-1] + ["-1,7,1.0,0.0"],
+        lambda rows: rows[:-1] + ["7,7,1.0"],
+        lambda rows: rows[:-1] + ["7,seven,1.0,0.0"],
+    ],
+    ids=["truncated", "padded", "cell_twice", "row_9", "row_minus_1", "three_fields",
+         "not_a_number"],
+)
+def test_load_state_rejects_a_malformed_body(tmp_path, edit):
+    # the body must be exactly n^2 rows i,j,re,im on distinct cells of the grid
+    path = tmp_path / "state.csv"
+    lq.save_state(DensityGrid(GridSpec(8, 4.0), np.eye(8)), path)
+    header, *rows = path.read_text().splitlines()
+    assert load_state(path).trace() == 8.0
+    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    with pytest.raises(ConfigError):
+        load_state(path)
 
 
 def test_serialization_header_format(tmp_path, gaussian64):

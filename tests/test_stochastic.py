@@ -319,20 +319,25 @@ def test_split_records_match_the_sequential_oracle_bit_for_bit(
 @pytest.mark.parametrize("case", ["normal", "tail_alarm", "non_finite_phase"])
 def test_closed_form_leaves_no_thread(cat, monkeypatch, case):
     cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1, include_kinetic=False)
-    f0, M, seen = cat, _BLOCK + 5, []
+    f0, M, seen, calls = cat, _BLOCK + 5, [], []
     if case == "tail_alarm":
         f0 = DensityGrid(cat.grid, np.ones(cat.values.shape))
     if case == "non_finite_phase":
-        real = stochastic.normal_rows
+        real, beside = stochastic.normal_rows, stochastic._beside
 
         def rows(seed, ks, n):  # the row of realization _BLOCK + 3 is infinite
             out = real(seed, ks, n)
             if ks.start >= _BLOCK:
-                seen.append(threading.active_count())
+                seen.append(len(calls))
                 out[3] = np.inf
             return out
 
+        def spy(job, own):
+            calls.append(job)
+            return beside(job, own)
+
         monkeypatch.setattr(stochastic, "normal_rows", rows)
+        monkeypatch.setattr(stochastic, "_beside", spy)
     before = threading.active_count()
 
     def run():
@@ -351,18 +356,15 @@ def test_closed_form_leaves_no_thread(cat, monkeypatch, case):
         assert isinstance(err.value.__cause__, cause)
     assert threading.active_count() == before
     if case == "non_finite_phase":
-        assert seen == [before + 1]  # the worker ran the first block
+        assert seen == [1]  # block 0 ran through _beside, block 1 never did
 
 
 def test_closed_form_raises_a_worker_error(cat, monkeypatch):
-    def fail(*args):
+    def fail():
         raise MemoryError("worker job")
 
-    class FailingWorker(evolvers._Worker):
-        def submit(self, fn, *args):
-            super().submit(fail)
-
-    monkeypatch.setattr(stochastic, "_Worker", FailingWorker)
+    beside = evolvers._beside
+    monkeypatch.setattr(stochastic, "_beside", lambda job, own: beside(fail, own))
     cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1, include_kinetic=False)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="worker job"):

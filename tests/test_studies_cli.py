@@ -294,7 +294,7 @@ def test_decoherence_zero_noise_no_decay():
 
 def test_evolve_and_equivalence_report_the_same_drift():
     scenario = scenario_from_text(HARMONIC)
-    evolved, _ = run_evolve_study(scenario, engine="vonneumann")
+    evolved, _ = run_evolve_study(scenario)
     compared, _ = run_equivalence_study(scenario)
     for name in ("trace_drift", "hermiticity_drift"):
         assert evolved.metrics[name] == compared.metrics[name]
@@ -704,3 +704,20 @@ def test_cli_realizations_override_changes_hash(tmp_path):
         assert rc in (0, 1)  # tiny ensembles may miss the 5% fit gate
         hashes.append(json.loads((out / "summary.json").read_text())["scenario_hash"])
     assert hashes[0] != hashes[1]
+
+
+def test_cli_engine_override_changes_hash(tmp_path):
+    # --engine overrides evolve.engine, so the hash covers it; naming the
+    # scenario's own engine changes nothing
+    hashes = {}
+    for engine in ("classical", "qq", "vonneumann", None):
+        out = tmp_path / f"{engine}"
+        extra = ["--engine", engine] if engine else []
+        rc = main(["evolve", "--scenario", write(tmp_path, HARMONIC),
+                   "--out", str(out), *extra])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["metrics"]["engine"] == (engine or "vonneumann")
+        hashes[engine] = summary["scenario_hash"]
+    assert len({hashes["classical"], hashes["qq"], hashes["vonneumann"]}) == 3
+    assert hashes[None] == hashes["vonneumann"]

@@ -5,9 +5,21 @@ representations of one ensemble state, the anharmonic coupling field
 between bra and ket coordinates, piecewise-linear potential identities,
 quenched-noise decoherence with its dissipative stepper, and
 Poisson-void emptiness statistics.
+
+Importing liouq before numpy pins BLAS to one thread, unless the
+environment already sets the thread count: the studies call BLAS from at
+most two Python threads of their own, and extra BLAS threads on top of
+those only contend for the cores.  Set ``OPENBLAS_NUM_THREADS`` (or
+``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``) to override.
 """
 
+import os as _os
+import sys as _sys
 from types import ModuleType as _ModuleType
+
+if "numpy" not in _sys.modules:  # BLAS reads these once, when numpy loads it
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
 
 from .causet import SprinkleRegion, VoidEstimate, void_probability_mc
 from .errors import (

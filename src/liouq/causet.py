@@ -17,12 +17,18 @@ uniform is <= exp(-lambda).  That uniform is word 0 of the stream's
 first Philox4x64-10 block, counter (1, 0, 0, 0), shifted right by 11
 and scaled by 2^-53; it is computed here for a whole block of trials at
 once, which gives every trial the emptiness its own generator gives.
+Only the arithmetic that differs between trials and reaches word 0 runs
+on arrays: round 0 and the seed lane of round 1 are the same for every
+trial and are Python integers, and rounds 7 to 9 form only the words
+that word 0 reads.  Every operation kept is the one the full rounds do,
+so each word is numpy's, bit for bit.
 The word itself is compared with the largest word whose uniform is
 <= exp(-lambda), and the rounds run in place in buffers made once per
 call, so the blocks allocate no memory.
 From lambda = 10 on numpy switches to a rejection sampler (PTRS) that
-consumes a variable number of draws, and each trial runs its own
-generator.
+consumes a variable number of draws, and each trial draws from its own
+stream, walked through one rekeyed generator
+(:func:`liouq.streams.each_stream`).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .streams import check_seed, stream
+from .streams import check_seed, each_stream
 
 _GEOMETRIES = ("ball_times_interval", "box")
 _BLOCK = 8192  # trials per vectorized block: bounds the uint64 buffers
@@ -117,32 +123,66 @@ def _philox_word0(seed: int, trials: np.ndarray, work=None) -> np.ndarray:
     """Word 0 of Philox4x64-10 at counter (1, 0, 0, 0), key ``(seed, trial)``.
 
     This is the first ``random_raw()`` of ``Philox(key=[seed, trial])``.
-    Every round runs in place in the rows of ``work``, a ``(9, trials.size)``
-    uint64 array (made here if not given); the result is one of its rows.
+    A round maps the counter ``(c0, c1, c2, c3)`` under the key
+    ``(k0, k1)`` to ``(hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1,
+    lo(M0 c0))``, and the key then gains the Weyl increments.  Only the
+    rounds' arithmetic that differs between trials and reaches word 0 is
+    done on arrays:
+
+    * round 0 takes the counter to ``(seed, 0, trial, M0)``, with no
+      arithmetic per trial;
+    * in round 1 only lane c2 (the trial) needs the vector high product;
+      the products of lane c0 (the seed) are Python integers;
+    * round 9 returns word 0 alone, which reads only round 8's words 1
+      and 2, so round 8 forms just those two and round 7 skips its
+      word 1, which only round 8's word 0 would read.
+
+    Each skipped operation's result is never read, and every other one is
+    the same integer operation as in the full rounds, so the words are
+    bit for bit numpy's.  The rounds run in place in the rows of
+    ``work``, a ``(9, trials.size)`` uint64 array (made here if not
+    given); every row is written before it is read, and the result is one
+    of its rows.
     """
     if work is None:
         work = np.empty((9, trials.size), dtype=np.uint64)
     c0, c1, c2, c3, h0, h1, t, u, v = work
-    c0.fill(1)
-    c1.fill(0)
-    c2.fill(0)
-    c3.fill(0)
-    for rnd in range(10):
-        # the key is bumped by the Weyl increments between rounds
-        k0 = np.uint64((seed + rnd * _PHILOX_W[0]) & _U64)
-        k1 = np.uint64((rnd * _PHILOX_W[1]) & _U64)  # plus the trial
-        _mulhi(_PHILOX_M[0], c0, h0, t, u, v)
-        _mulhi(_PHILOX_M[1], c2, h1, t, u, v)
-        np.multiply(c0, np.uint64(_PHILOX_M[0]), out=c0)  # low words
-        np.multiply(c2, np.uint64(_PHILOX_M[1]), out=c2)
+    m0, m1 = _PHILOX_M
+    # the round keys: each key word plus its Weyl increment once per round
+    k0 = [np.uint64((seed + rnd * _PHILOX_W[0]) & _U64) for rnd in range(10)]
+    k1 = [np.uint64((rnd * _PHILOX_W[1]) & _U64) for rnd in range(10)]  # + trial
+    # round 0 gives (seed, 0, trial, M0); round 1's lane-c0 products are integers
+    hi0, lo0 = divmod(m0 * seed, 2**64)
+    _mulhi(m1, trials, h1, t, u, v)
+    np.bitwise_xor(h1, k0[1], out=c0)  # c1 is 0
+    np.multiply(trials, np.uint64(m1), out=c1)
+    np.add(trials, k1[1], out=c2)
+    np.bitwise_xor(c2, np.uint64(hi0 ^ m0), out=c2)
+    c3.fill(lo0)
+    for rnd in range(2, 8):
+        _mulhi(m0, c0, h0, t, u, v)
+        _mulhi(m1, c2, h1, t, u, v)
+        np.multiply(c0, np.uint64(m0), out=c0)  # low words
+        if rnd < 7:  # round 8 does not read round 7's word 1
+            np.multiply(c2, np.uint64(m1), out=c2)
         np.bitwise_xor(h1, c1, out=h1)
-        np.bitwise_xor(h1, k0, out=h1)
-        np.add(trials, k1, out=t)
+        np.bitwise_xor(h1, k0[rnd], out=h1)
+        np.add(trials, k1[rnd], out=t)
         np.bitwise_xor(h0, c3, out=h0)
         np.bitwise_xor(h0, t, out=h0)
         # (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0); the old c1, c3 rows are free
         c0, c1, c2, c3, h0, h1 = h1, c2, h0, c0, c3, c1
-    return c0
+    # round 8: only its words 1 and 2
+    _mulhi(m0, c0, h0, t, u, v)
+    np.multiply(c2, np.uint64(m1), out=c1)
+    np.bitwise_xor(h0, c3, out=h0)
+    np.add(trials, k1[8], out=t)
+    np.bitwise_xor(h0, t, out=h0)
+    # round 9: word 0 alone
+    _mulhi(m1, h0, h1, t, u, v)
+    np.bitwise_xor(h1, c1, out=h1)
+    np.bitwise_xor(h1, k0[9], out=h1)
+    return h1
 
 
 def _last_empty_word(mean_count: float) -> np.uint64:
@@ -166,7 +206,7 @@ def _empty_trials(
     """
     if mean_count >= _PTRS_LAM:
         return np.array(
-            [int(stream(seed, int(t)).poisson(mean_count)) == 0 for t in trials],
+            [gen.poisson(mean_count) == 0 for gen in each_stream(seed, trials)],
             dtype=bool,
         )
     return _philox_word0(seed, trials, work) <= _last_empty_word(mean_count)

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouq import SprinkleRegion, VoidEstimate, void_probability_mc
-from liouq.causet import _BLOCK, _POISSON_LAM_MAX, _empty_trials, _philox_word0
+from liouq.causet import (
+    _BLOCK,
+    _PHILOX_W,
+    _POISSON_LAM_MAX,
+    _empty_trials,
+    _philox_word0,
+)
 from liouq.errors import ConfigError, DomainError
 
 
@@ -136,6 +142,41 @@ def test_philox_word0_matches_numpy(seed, trial):
     assert int(word) == int(raw)
 
 
+def numpy_word0(seed, trials):
+    return np.array([
+        np.random.Philox(key=np.array([seed, t], dtype=np.uint64)).random_raw()
+        for t in trials
+    ], dtype=np.uint64)
+
+
+# seeds whose key word 0 wraps past 2**64 in round 1, is 0 in round 1, is 0
+# in round 9; blocks of trials that start at 0 and straddle the wrap of
+# trial + k1 in round 1 and in round 8 (the last round that adds it)
+WRAP_SEEDS = [2**64 - 1, (2**64 - _PHILOX_W[0]) % 2**64, -9 * _PHILOX_W[0] % 2**64]
+WRAP_STARTS = [0] + [-r * _PHILOX_W[1] % 2**64 - _BLOCK // 2 for r in (1, 8)]
+
+
+@strict
+@pytest.mark.parametrize("seed", WRAP_SEEDS)
+@pytest.mark.parametrize("start", WRAP_STARTS)
+def test_philox_word0_matches_numpy_over_a_block(seed, start):
+    trials = np.arange(_BLOCK, dtype=np.uint64) + np.uint64(start)
+    want = numpy_word0(seed, trials)
+    np.testing.assert_array_equal(_philox_word0(seed, trials), want)
+
+
+@strict
+def test_philox_word0_writes_every_work_row_before_reading_it():
+    trials = np.arange(1000, dtype=np.uint64) + np.uint64(2**64 - 1000)
+    want = _philox_word0(5, trials)
+    for fill in range(3):
+        garbage = np.random.default_rng(fill).integers(
+            0, 2**64, (9, trials.size), dtype=np.uint64, endpoint=False
+        )
+        np.testing.assert_array_equal(_philox_word0(5, trials, garbage), want)
+    assert trials[0] == 2**64 - 1000  # the trials are left as they are
+
+
 @strict
 @pytest.mark.parametrize("seed", [0, 12, 2**64 - 1])
 @pytest.mark.parametrize("geometry", ["ball_times_interval", "box"])
@@ -198,3 +239,15 @@ def test_fallback_starts_at_mean_ten():
     assert not want.any()
     np.testing.assert_array_equal(_empty_trials(0, trials, 10.0), want)
 
+
+
+@strict
+def test_fallback_flags_the_rare_empty_trials_of_their_own_streams():
+    # about one trial in 22000 is empty at lambda = 10; a generator keyed to
+    # another trial would flag trials whose own stream is not empty
+    empty = np.flatnonzero(_empty_trials(0, np.arange(60_000, dtype=np.uint64), 10.0))
+    assert empty.size
+    near = np.unique(np.concatenate([empty + d for d in range(-2, 3)]))
+    want = oracle_empty(0, near, 10.0)
+    assert want.any()
+    np.testing.assert_array_equal(_empty_trials(0, near.astype(np.uint64), 10.0), want)

@@ -19,24 +19,44 @@ def test_all_holds_no_module():
         assert not isinstance(getattr(liouq, name), ModuleType), name
 
 
-def test_import_loads_no_executor_machinery():
-    # importing concurrent.futures costs about 12 ms, which every run pays
-    # at start-up; the worker thread needs only ``threading``
-    env = dict(os.environ)
+def run_python(*args, **env_vars):
+    """stdout of ``python *args`` with liouq's sources on the path; it must succeed."""
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    probe = "import sys, liouq; print('concurrent.futures' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=300,
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.returncode == 0, result.stdout + result.stderr
+    return result.stdout.strip()
+
+
+def test_import_loads_no_executor_machinery():
+    # importing concurrent.futures costs about 12 ms, which every run pays
+    # at start-up; the worker thread needs only ``threading``
+    probe = "import sys, liouq; print('concurrent.futures' in sys.modules)"
+    assert run_python("-c", probe) == "False"
+
+
+def test_import_pins_blas_threads_unless_set(monkeypatch):
+    # an unset thread count becomes 1 before numpy loads BLAS; a set one stays
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    probe = (
+        "import os, liouq; print(*(os.environ[v] for v in"
+        " ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))"
+    )
+    assert run_python("-c", probe) == "1 1 1"
+    assert run_python("-c", probe, OMP_NUM_THREADS="2") == "1 2 1"
+    # once numpy is loaded, BLAS has read its thread count: liouq sets none
+    probe = "import os, numpy, liouq; print('MKL_NUM_THREADS' in os.environ)"
+    assert run_python("-c", probe) == "False"
 
 
 @pytest.mark.parametrize(
@@ -46,16 +66,4 @@ def test_import_loads_no_executor_machinery():
     ],
 )
 def test_script_runs(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
+    run_python(str(ROOT / "scripts" / script), *args)

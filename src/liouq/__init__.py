@@ -3,7 +3,7 @@
 Spectral transport engines for the phase-space and density-grid
 representations of one ensemble state, the anharmonic coupling field
 between bra and ket coordinates, piecewise-linear potential identities,
-quenched-noise decoherence with its dissipative stepper, and
+quenched-noise decoherence with its dissipative evolution, and
 Poisson-void emptiness statistics.
 
 Importing liouq before numpy pins BLAS to one thread, unless the

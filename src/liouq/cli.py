@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--scenario", required=True)
 
     decohere = sub.add_parser("decohere", parents=[common, seeded],
-                              help="noisy ensemble vs dissipative stepper")
+                              help="noisy ensemble vs dissipative evolution")
     decohere.add_argument("--scenario", required=True)
     decohere.add_argument("--realizations", type=int)
 

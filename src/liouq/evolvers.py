@@ -14,13 +14,13 @@ and the pointwise factor:
   representation: kinetic phase exp(-i kx ky dt / 2), pointwise phase
   exp(-i y v'(x) dt);
 * density-grid transport with the full coupling field, pointwise phase
-  exp(-i [v(Q) - v(q) + E(Q, q)] dt), or without it (commutator only);
-* the dissipative density-grid stepper in ``stochastic``.
+  exp(-i [v(Q) - v(q) + E(Q, q)] dt), or without it (commutator only).
 
-Every engine, the dissipative one included, takes its potential phase
-from ``_midpoint_phase``, which samples a time-dependent potential at
-the step midpoint t0 + (s - 1/2) dt, as Strang needs; the quenched
-closed form in ``stochastic`` sums the same midpoint samples.
+Every engine takes its potential phase from ``_midpoint_phase``, which
+samples a time-dependent potential at the step midpoint
+t0 + (s - 1/2) dt, as Strang needs; the closed forms in ``stochastic``
+(the quenched ensemble and the dissipative evolution) sum the same
+midpoint samples.
 
 All density-grid engines share the kinetic phase
 exp(-i dt [k^2(Q) - k^2(q)] / 4), which agrees with the classical one
@@ -43,8 +43,7 @@ norm / n, with norm the initial 2-norm.  That rests on every factor
 having unit modulus, which keeps the 2-norm (see below): the peak is
 then at least norm / n, so a smaller frame cannot reach the threshold,
 and the aborts, their steps and fractions are those of an exact read on
-every step.  ``lindblad_evolve``, whose damping is not of unit modulus,
-passes no threshold and never aborts.
+every step.
 
 A density-grid run whose step is one fixed unitary, rho -> U rho U^H
 (the kinetic term on, a static V and no extra term, as for
@@ -166,10 +165,10 @@ def _check_dt_guard(cfg: EvolverConfig, grid: GridSpec) -> None:
         )
 
 
-def _check_tail(work: np.ndarray, limit: float | None, step: int) -> float:
+def _check_tail(work: np.ndarray, limit: float, step: int) -> float:
     """Boundary fraction of ``work``; raise if it exceeds ``limit``."""
     tail = boundary_fraction(work)
-    if limit is not None and tail > limit:
+    if tail > limit:
         raise BoundaryContaminationError(step, tail, limit)
     return tail
 
@@ -263,7 +262,7 @@ def _ifft2(work: np.ndarray) -> None:
     np.fft.ifft(work, axis=0, out=work)
 
 
-def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Trajectory:
+def _strang(f0, work, cfg, kin_half, phase, snapshot, diag) -> Trajectory:
     """Run ``cfg.n_steps`` Strang steps on ``work`` and record a trajectory.
 
     ``kin_half`` is the spectral half-step factor, or None to freeze the
@@ -282,23 +281,21 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Traje
     ``snapshot`` must copy its input.
 
     The tail monitor aborts the run once the boundary fraction exceeds
-    ``tail_limit``.  It watches, every step, the position-space array
-    the pointwise factor acted on: the full-step state when the kinetic
-    term is frozen, otherwise half a kinetic step short of it, the only
-    position-space array a fused step holds.  Between records it reads
+    ``cfg.tail_threshold``.  It watches, every step, the position-space
+    array the pointwise factor acted on: the full-step state when the
+    kinetic term is frozen, otherwise half a kinetic step short of it,
+    the only position-space array a fused step holds.  Between records it reads
     the boundary frame alone (4n cells), and the exact fraction (a pass
     over all n² cells) only where the frame could mean an abort.  This
     needs every factor to have unit modulus, so that the 2-norm stays
     that of the initial ``work``: the peak is at least norm / n, so a
-    frame at most ``0.5 * tail_limit * norm / n`` puts the fraction
+    frame at most ``0.5 * tail_threshold * norm / n`` puts the fraction
     under the limit.  A NaN frame, a non-finite initial norm and every
     larger frame take the exact read, so every abort, its step and its
     fraction are those of an exact read on every step.  At a record the
     monitor reads the full-step state itself, exactly, so a recorded
     tail is that of the returned state and no returned state exceeds
-    the limit.  With ``tail_limit=None`` nothing can abort and the tail
-    is read at records only; a caller whose pointwise factor is not of
-    unit modulus must pass it, as ``lindblad_evolve`` does.
+    the limit.
     """
     _check_dt_guard(cfg, f0.grid)
     stop_event = _STOP.get()
@@ -306,12 +303,12 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Traje
     times = [f0.time]
     states: list = [f0]
     diags = [diag(f0, boundary_fraction(work))]
-    if tail_limit is not None:
-        with np.errstate(over="ignore"):  # an overflowed norm skips no read
-            norm = np.linalg.norm(work)
-        frame_bound = 0.0
-        if np.isfinite(norm):
-            frame_bound = 0.5 * tail_limit * norm / np.sqrt(work.size)
+    limit = cfg.tail_threshold
+    with np.errstate(over="ignore"):  # an overflowed norm skips no read
+        norm = np.linalg.norm(work)
+    frame_bound = 0.0
+    if np.isfinite(norm):
+        frame_bound = 0.5 * limit * norm / np.sqrt(work.size)
     full = work
     if kin_half is not None:
         kin = kin_half * kin_half
@@ -324,12 +321,8 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Traje
         phase(work, step)
         recorded = step in record_at
         # ``not <=``, so that a NaN frame takes the exact read
-        if (
-            not recorded
-            and tail_limit is not None
-            and not boundary_frame(work) <= frame_bound
-        ):
-            _check_tail(work, tail_limit, step)
+        if not recorded and not boundary_frame(work) <= frame_bound:
+            _check_tail(work, limit, step)
         if kin_half is not None:
             _fft2(work)
             if recorded:
@@ -337,7 +330,7 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit) -> Traje
                 _ifft2(full)
             work *= kin
         if recorded:
-            tail = _check_tail(full, tail_limit, step)
+            tail = _check_tail(full, limit, step)
             _check_stop(stop_event)
             t = f0.time + step * cfg.dt
             state = snapshot(full, t)
@@ -389,9 +382,7 @@ def liouville_evolve_xp(
         return xy_to_xp(XYGrid(grid, work.copy(), t))
 
     work = xp_to_xy(f0).values.copy()
-    return _strang(
-        f0, work, cfg, kin_half, phase, snapshot, _xp_diag, cfg.tail_threshold
-    )
+    return _strang(f0, work, cfg, kin_half, phase, snapshot, _xp_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +405,7 @@ def _density_diag(state: DensityGrid, tail: float) -> dict:
     }
 
 
-def _strang_density(f0: DensityGrid, cfg, phase, tail_limit) -> Trajectory:
+def _strang_density(f0: DensityGrid, cfg, phase) -> Trajectory:
     """``_strang`` on a density grid, with its shared kinetic factor."""
     grid = f0.grid
     return _strang(
@@ -426,7 +417,6 @@ def _strang_density(f0: DensityGrid, cfg, phase, tail_limit) -> Trajectory:
         # a copy, as DensityGrid freezes its array and ``_strang`` reuses it
         lambda work, t: DensityGrid(grid, work.copy(), t),
         _density_diag,
-        tail_limit,
     )
 
 
@@ -463,7 +453,7 @@ def _evolve_density(
         if traj is not None:
             return traj
     phase = _potential_phase(f0, v, cfg, extra)
-    return _strang_density(f0, cfg, phase, cfg.tail_threshold)
+    return _strang_density(f0, cfg, phase)
 
 
 def _spectral_operator(grid: GridSpec, symbol) -> np.ndarray:

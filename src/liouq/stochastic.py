@@ -1,4 +1,4 @@
-"""Quenched potential noise, noisy ensembles, and the dissipative stepper.
+"""Quenched potential noise, noisy ensembles, and the dissipative evolution.
 
 A noise realization is one static field dV(x) with independent Gaussian
 cells of standard deviation nu(x); the continuum delta correlation is
@@ -7,13 +7,13 @@ the pure-phase evolution has the closed form
 
     <f(x, y; t)> = f(x, y; 0) exp(-t^2 [nu^2(x) + nu^2(y)] / 2)
 
-off the diagonal, with diagonal elements exactly unchanged.  Noisy
-ensembles run with transport frozen, where every step is a pure phase,
-so ``ensemble_evolve`` evaluates them in closed form and steps nothing.
-The same law is the stationary-phase limit of the dissipative stepper,
-whose decay coefficient grows linearly in time; stepping uses the
-midpoint value of that coefficient, which integrates the linear growth
-exactly.
+off the diagonal, with t the time since the noise was switched on and
+diagonal elements exactly unchanged.  Noisy ensembles and the
+dissipative evolution, whose decay coefficient grows linearly in t, run
+with transport frozen, where every factor is pointwise and the factors
+commute.  So neither steps anything: ``ensemble_evolve`` averages the
+realizations in closed form, and ``lindblad_evolve`` evaluates the law
+above times V's midpoint phases.
 
 A noise width always comes as a ``NoiseSpec``: the profile nu(x) and
 the stream seed.  Realizations are drawn from the counter-based streams
@@ -38,10 +38,10 @@ from .errors import (
 from .evolvers import (
     EvolverConfig,
     Trajectory,
-    _potential_phase,
-    _record_steps,
     _beside,
-    _strang_density,
+    _check_tail,
+    _density_diag,
+    _record_steps,
 )
 from .grids import DensityGrid, GridSpec, boundary_fraction
 from .potentials import Potential
@@ -160,9 +160,9 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     grid = f0.grid
     n = grid.n_points
     profile = spec.nu_on_grid(grid)
-    tail = boundary_fraction(f0.values)
-    if tail > cfg.tail_threshold:
-        cause = BoundaryContaminationError(1, tail, cfg.tail_threshold)
+    try:
+        _check_tail(f0.values, cfg.tail_threshold, 1)
+    except BoundaryContaminationError as cause:
         raise RealizationError(0, cause) from cause
     steps = sorted(_record_steps(cfg))
     gaps = np.diff(steps, prepend=0)
@@ -270,63 +270,64 @@ def ensemble_evolve(
 
 
 # ---------------------------------------------------------------------------
-# dissipative stepper and its closed form
-
-
-def _decay_rates(nu: np.ndarray) -> np.ndarray:
-    rates = nu[:, None] ** 2 + nu[None, :] ** 2
-    np.fill_diagonal(rates, 0.0)
-    return rates
+# the dissipative evolution and its decay law
 
 
 def lindblad_evolve(
     f0: DensityGrid, V: Potential, spec: NoiseSpec, cfg: EvolverConfig
 ) -> Trajectory:
-    """Unitary transport plus off-diagonal damping with linearly growing rate.
+    """Potential phases plus off-diagonal damping at rate t [nu^2(Q) + nu^2(q)].
 
-    Per step: kinetic half-step, then the pointwise potential phase and
-    the damping exp(-(t + dt/2) dt [nu^2(Q) + nu^2(q)]) off the diagonal,
-    then the second kinetic half-step.  Both pointwise factors commute,
-    so their order is immaterial.  Like every engine, the potential
-    phase samples a time-dependent V at the step midpoint and is built
-    again only when the sampled potential changes.  The diagonal is
-    untouched, so the trace is conserved exactly by the dissipative
-    factor, and with nu = 0 the step is one commutator-transport step.
-    The boundary tail is read and recorded at recorded times, and does
-    not abort the run.
+    t is the time since f0.  The damping is not smooth across the
+    diagonal, and spectral kinetic steps would ring it out to the box
+    edge, so ``cfg.include_kinetic`` must be False (else ``ConfigError``).
+    The pointwise factors then commute, so record step s is, in closed
+    form, ``decay_predict(f0, spec, s dt)`` times d_s(Q) conj(d_s(q)),
+    with d_s V's midpoint phases as in the ensemble's closed form.  The
+    diagonal keeps f0's values exactly.  Raises
+    ``BoundaryContaminationError`` at step 1 when f0's tail is over the
+    limit, as the ensemble does: for a Hermitian positive f0 no record's
+    tail exceeds f0's, as the peak is on the kept diagonal and no factor
+    off it exceeds modulus 1.
     """
-    rates = _decay_rates(spec.nu_on_grid(f0.grid))
-    dt = cfg.dt
-    potential = _potential_phase(f0, V, cfg)
-
-    def phase(work: np.ndarray, step: int) -> None:
-        t_prev = f0.time + (step - 1) * dt
-        potential(work, step)
-        work *= np.exp(-(t_prev + 0.5 * dt) * dt * rates)
-
-    # No tail abort: the damping has zero rate on the diagonal, so it is
-    # not smooth, and the kinetic half-steps ring it out to the box edge.
-    # At n = 64, L = 10, dt = 0.008, nu = 1 the boundary fraction reaches
-    # 7.5e-6 in 15 steps, where commutator transport stays at 8e-14.
-    # Nor could the kernel's monitor skip its exact reads here: that
-    # needs unit-modulus factors, and the damping shrinks the 2-norm.
-    return _strang_density(f0, cfg, phase, None)
+    if cfg.include_kinetic:
+        raise ConfigError(
+            "the dissipative evolution needs the kinetic term off "
+            "(include_kinetic=False): spectral kinetic steps ring the "
+            "damping out to the box edge"
+        )
+    grid = f0.grid
+    tail = _check_tail(f0.values, cfg.tail_threshold, 1)
+    steps = sorted(_record_steps(cfg))
+    phases = _potential_phases(V, grid.x, f0.time, cfg.dt, steps)
+    diag = np.diag_indices(grid.n_points)
+    times, states, diags = [f0.time], [f0], [_density_diag(f0, tail)]
+    for step, d in zip(steps, phases):
+        decayed = decay_predict(f0, spec, step * cfg.dt)
+        values = decayed.values * np.outer(d, d.conj())
+        values[diag] = f0.values[diag]
+        times.append(decayed.time)
+        states.append(DensityGrid(grid, values, decayed.time))
+        diags.append(_density_diag(states[-1], boundary_fraction(values)))
+    return Trajectory(times, states, diags)
 
 
 def decay_predict(f0: DensityGrid, spec: NoiseSpec, t: float) -> DensityGrid:
     """Closed-form off-diagonal decay with the transport part neglected.
 
     f(Q, q; t) = f(Q, q; 0) exp(-t^2 [nu^2(Q) + nu^2(q)] / 2) off the
-    diagonal; diagonal elements are unchanged.
+    diagonal, with t the time since f0; diagonal elements are unchanged.
     """
-    factor = np.exp(-0.5 * t**2 * _decay_rates(spec.nu_on_grid(f0.grid)))
+    nu = spec.nu_on_grid(f0.grid)
+    factor = np.exp(-0.5 * t**2 * (nu[:, None] ** 2 + nu[None, :] ** 2))
+    np.fill_diagonal(factor, 1.0)
     return DensityGrid(f0.grid, f0.values * factor, f0.time + t)
 
 
 def compare_ensemble_vs_lindblad(
     report: EnsembleReport, traj: Trajectory, spec: NoiseSpec
 ) -> dict:
-    """Elementwise z-scores of the stepper against the averaged ensemble.
+    """Elementwise z-scores of the dissipative evolution against the ensemble.
 
     The PASS flag requires elementwise agreement within three standard
     errors over the window t * max(nu) <= 2, with a small allowance for

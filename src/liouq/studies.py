@@ -256,9 +256,12 @@ def _default_probes(scenario: Scenario, grid):
 
 
 def run_decoherence_study(scenario: Scenario):
-    """Noisy-ensemble decay versus the dissipative stepper and closed form.
+    """Noisy-ensemble decay versus the dissipative evolution and decay law.
 
-    The ensemble size is the scenario's ``ensemble.realizations``.
+    The ensemble size is the scenario's ``ensemble.realizations``.  The
+    check names keep their word "stepper" for the dissipative evolution,
+    which is a closed form: ``probe_*_stepper_vs_closed_form`` checks that
+    its potential phases leave ``decay_predict``'s magnitudes unchanged.
     """
     grid = scenario.build_grid()
     v = scenario.build_potential() if scenario["potential.kind"] else Constant(0.0)
@@ -275,8 +278,8 @@ def run_decoherence_study(scenario: Scenario):
     )
 
     ensemble = ensemble_evolve(f0, v, spec, M, cfg)
-    stepped = lindblad_evolve(f0, v, spec, cfg)
-    comparison = compare_ensemble_vs_lindblad(ensemble, stepped, spec)
+    dissipative = lindblad_evolve(f0, v, spec, cfg)
+    comparison = compare_ensemble_vs_lindblad(ensemble, dissipative, spec)
     report.metrics["comparison_max_z"] = comparison["max_z"]
     report.metrics["comparison_exceed_fraction"] = comparison["exceed_fraction"]
     report.add_check("ensemble_vs_stepper", float(comparison["pass"]), 1.0, ">=")
@@ -314,7 +317,7 @@ def run_decoherence_study(scenario: Scenario):
                 f"probe_{idx}_fit_error", abs(ratio - 1.0), DECAY_FIT_TOL
             )
             stepper_mags = np.array(
-                [abs(s.values[i, j]) for s in stepped.states[1:]]
+                [abs(s.values[i, j]) for s in dissipative.states[1:]]
             )
             closed = np.abs(predicted)
             report.add_check(

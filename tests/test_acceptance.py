@@ -181,7 +181,7 @@ def test_criterion_7_decoherence_law():
         ratio = abs(mean[i, j]) / abs(cat.values[i, j])
         assert abs(ratio - np.exp(-1.0)) <= 3.0 * stderr[i, j] / abs(cat.values[i, j])
 
-        # dissipative stepper against the closed form at dt = 1e-3
+        # dissipative evolution against the decay law at t = 1
         cfg_lin = EvolverConfig(dt=1e-3, n_steps=1000, record_every=1000,
                                 include_kinetic=False)
         traj = lindblad_evolve(cat, Constant(0.0), spec, cfg_lin)

@@ -15,7 +15,6 @@ from liouq import (
     NoiseSpec,
     Quartic,
     dense_generator,
-    lindblad_evolve,
     liouville_evolve_xp,
     make_gaussian_phase_space,
     qq_liouville_evolve,
@@ -268,7 +267,7 @@ def test_dt_guard_warning(grid64):
 # fused kernel against the unfused Strang loop
 
 
-def _unfused_strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit):
+def _unfused_strang(f0, work, cfg, kin_half, phase, snapshot, diag):
     """Reference ``_strang``: K½ V K½ per step, tail read after every full step."""
     evolvers._check_dt_guard(cfg, f0.grid)
     record_at = evolvers._record_steps(cfg)
@@ -281,7 +280,7 @@ def _unfused_strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit):
         phase(work, step)
         if kin_half is not None:
             work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
-        tail = evolvers._check_tail(work, tail_limit, step)
+        tail = evolvers._check_tail(work, cfg.tail_threshold, step)
         if step in record_at:
             t = f0.time + step * cfg.dt
             state = snapshot(work, t)
@@ -291,7 +290,7 @@ def _unfused_strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit):
     return evolvers.Trajectory(times, states, diags)
 
 
-def _fft2_strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit):
+def _fft2_strang(f0, work, cfg, kin_half, phase, snapshot, diag):
     """Reference for the buffered ``_strang``: the same fused loop on
     ``fft2``/``ifft2``, with the exact tail read on every step."""
     evolvers._check_dt_guard(cfg, f0.grid)
@@ -312,8 +311,7 @@ def _fft2_strang(f0, work, cfg, kin_half, phase, snapshot, diag, tail_limit):
             if recorded:
                 work = np.fft.ifft2(spec * kin_half)
             spec *= kin
-        if recorded or tail_limit is not None:
-            tail = evolvers._check_tail(work, tail_limit, step)
+        tail = evolvers._check_tail(work, cfg.tail_threshold, step)
         if recorded:
             t = f0.time + step * cfg.dt
             state = snapshot(work, t)
@@ -339,8 +337,6 @@ def _run_engine(name, v, grid, cfg):
         traj = von_neumann_evolve(rho, v, cfg)
     elif name == "qq":
         traj = qq_liouville_evolve(rho, v, cfg)
-    elif name == "lindblad":
-        traj = lindblad_evolve(rho, v, NoiseSpec(nu), cfg)
     else:  # one quenched realization, as the ensemble's stepped test oracle runs it
         dv = sample_noise(NoiseSpec(nu, seed=4), grid, 0)
         traj = evolvers._evolve_density(rho, v, dv[:, None] - dv[None, :], cfg)
@@ -363,7 +359,7 @@ ORACLE_CFG = EvolverConfig(dt=0.004, n_steps=25, record_every=7, tail_threshold=
 
 @pytest.mark.parametrize("v", [Quartic(0.25), _switched_linear()],
                          ids=["quartic", "switched_linear"])
-@pytest.mark.parametrize("name", ["xp", "von_neumann", "qq", "lindblad", "quenched"])
+@pytest.mark.parametrize("name", ["xp", "von_neumann", "qq", "quenched"])
 def test_fused_kernel_matches_unfused_oracle(grid64, monkeypatch, name, v):
     (times, states, diags), (ref_times, ref_states, ref_diags) = _with_reference(
         _unfused_strang, name, v, grid64, ORACLE_CFG, monkeypatch
@@ -382,7 +378,7 @@ def test_fused_kernel_matches_unfused_oracle(grid64, monkeypatch, name, v):
 
 @pytest.mark.parametrize("v", [Quartic(0.25), _switched_linear()],
                          ids=["quartic", "switched_linear"])
-@pytest.mark.parametrize("name", ["xp", "von_neumann", "qq", "lindblad", "quenched"])
+@pytest.mark.parametrize("name", ["xp", "von_neumann", "qq", "quenched"])
 def test_buffered_kernel_is_fft2_loop_bit_for_bit(grid64, monkeypatch, name, v):
     # per-axis transforms into fixed buffers run fft2's own passes in its
     # order, so nothing may differ in a single bit.  The dense path is held
@@ -544,12 +540,12 @@ def test_state_turned_nan_runs_as_under_the_exact_monitor(grid64, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(evolvers, "_strang", _fft2_strang)
         with pytest.raises(lq.DomainError, match="finite"):
-            evolvers._strang_density(rho, cfg, phase, cfg.tail_threshold)
+            evolvers._strang_density(rho, cfg, phase)
     assert stepped == list(range(1, 21))
     stepped.clear()
     frames, exact = _log_tail_reads(monkeypatch)
     with pytest.raises(lq.DomainError, match="finite"):
-        evolvers._strang_density(rho, cfg, phase, cfg.tail_threshold)
+        evolvers._strang_density(rho, cfg, phase)
     assert stepped == list(range(1, 21))
     assert exact == [10] + list(range(13, 21))
     assert len(frames) == 18
@@ -586,7 +582,7 @@ def test_midpoint_phase_cache_equals_rebuild(grid64):
 def _stepped(f0, v, extra, cfg):
     """The stepped kernel on an input the dense path may take over."""
     phase = evolvers._potential_phase(f0, v, cfg, extra)
-    return evolvers._strang_density(f0, cfg, phase, cfg.tail_threshold)
+    return evolvers._strang_density(f0, cfg, phase)
 
 
 def _spy_strang(monkeypatch) -> list:
@@ -772,7 +768,7 @@ def test_worker_error_stops_the_callers_engines(grid64):
 
     def own():
         assert evolvers._STOP.get().wait(timeout=60)
-        return evolvers._strang_density(f0, cfg, phase, None)
+        return evolvers._strang_density(f0, cfg, phase)
 
     with pytest.raises(ValueError, match="worker job"):
         evolvers._beside(fail, own)

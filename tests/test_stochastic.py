@@ -1,4 +1,4 @@
-"""Noise sampling, ensemble averaging, dissipative stepper, decay law."""
+"""Noise sampling, ensemble averaging, dissipative evolution, decay law."""
 
 import threading
 
@@ -15,6 +15,7 @@ from liouq import (
     Harmonic,
     Linear,
     NoiseSpec,
+    Quartic,
     Qq_to_xp,
     compare_ensemble_vs_lindblad,
     decay_predict,
@@ -454,6 +455,7 @@ def test_evolution_is_linear_in_the_state():
         + 0.7 * von_neumann_evolve(f2, v, cfg).states[-1].values
     )
     assert np.abs(out_mix - out_sep).max() <= 1e-12
+    cfg = EvolverConfig(dt=0.008, n_steps=15, record_every=15, include_kinetic=False)
     out_mix_l = lindblad_evolve(mix, v, NoiseSpec(1.0), cfg).states[-1].values
     out_sep_l = (
         0.3 * lindblad_evolve(f1, v, NoiseSpec(1.0), cfg).states[-1].values
@@ -481,21 +483,25 @@ def test_lindblad_trace_exactly_conserved(cat):
         assert diag["hermiticity_defect"] <= 1e-12
 
 
-def test_lindblad_has_dt_guard(cat):
-    cfg = EvolverConfig(dt=0.05, n_steps=1)  # above 0.1 dx^2 here
-    with pytest.warns(TimeStepWarning):
+def test_lindblad_rejects_the_kinetic_term(cat):
+    # the damping is not smooth across the diagonal: it would ring out
+    cfg = EvolverConfig(dt=0.001, n_steps=1)
+    with pytest.raises(ConfigError, match="ring"):
         lindblad_evolve(cat, Constant(0.0), NoiseSpec(1.0), cfg)
 
 
 def test_lindblad_records_tail_without_abort():
-    # the damping rings out to the box edge under transport; the tail is
-    # recorded, never raised, even above the configured threshold
+    # for a Hermitian positive f0 the peak stays on the diagonal and no
+    # factor off it exceeds modulus one, so no record's tail exceeds f0's
     cat = make_cat_density(GridSpec(64, 10.0), 4.0, 0.7)
-    cfg = EvolverConfig(dt=0.008, n_steps=15, record_every=5)
+    cfg = EvolverConfig(dt=0.008, n_steps=15, record_every=5, include_kinetic=False)
     traj = lindblad_evolve(cat, Harmonic(1.0), NoiseSpec(1.0), cfg)
     tails = [d["boundary_fraction"] for d in traj.diagnostics]
     assert len(tails) == 4
-    assert max(tails) > cfg.tail_threshold
+    assert tails[0] == boundary_fraction(cat.values) <= cfg.tail_threshold
+    for state, tail in zip(traj.states, tails):
+        assert tail == boundary_fraction(state.values)
+        assert tail <= tails[0] * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -503,10 +509,88 @@ def test_lindblad_records_tail_without_abort():
 )
 def test_lindblad_zero_noise_is_vonneumann(v):
     cat = make_cat_density(GridSpec(48, 10.0), 4.0, 0.7)
-    cfg = EvolverConfig(dt=0.01, n_steps=20, record_every=20)
+    cfg = EvolverConfig(dt=0.01, n_steps=20, record_every=20, include_kinetic=False)
     a = lindblad_evolve(cat, v, NoiseSpec(0.0), cfg)
     b = von_neumann_evolve(cat, v, cfg)
     assert np.abs(a.states[-1].values - b.states[-1].values).max() <= 1e-12
+
+
+def _stepped_lindblad(f0, V, spec, cfg):
+    """Strang-stepped dissipative evolution: the closed form's test oracle.
+
+    Per step: kinetic half-step (if on), V's phase and the damping
+    exp(-tau dt [nu^2(Q) + nu^2(q)]) off the diagonal, both at the step
+    midpoint, with tau = (s - 1/2) dt the time elapsed since f0, then the
+    second kinetic half-step.  The midpoint rates sum to t^2 / 2 exactly.
+    No tail monitor.  Returns the recorded times and arrays.
+    """
+    grid, dt = f0.grid, cfg.dt
+    nu = spec.nu_on_grid(grid)
+    rates = nu[:, None] ** 2 + nu[None, :] ** 2
+    np.fill_diagonal(rates, 0.0)
+    k2 = grid.wavenumbers**2
+    kin_half = np.exp(-0.25j * dt * (k2[:, None] - k2[None, :]))
+    record_at = _record_steps(cfg)
+    work = f0.values.copy()
+    times, states = [f0.time], [f0.values]
+    for step in range(1, cfg.n_steps + 1):
+        if cfg.include_kinetic:
+            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
+        vx = V.value(grid.x, f0.time + (step - 0.5) * dt)
+        work = work * np.exp(-1j * dt * (vx[:, None] - vx[None, :]))
+        work = work * np.exp(-((step - 0.5) * dt) * dt * rates)
+        if cfg.include_kinetic:
+            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
+        if step in record_at:
+            times.append(f0.time + step * cfg.dt)
+            states.append(work)
+    return times, states
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "v",
+    [
+        Constant(0.0),
+        Harmonic(1.0),
+        Quartic(0.25),
+        # switches inside the windows that start at t0 = 0 and t0 = 1
+        Linear(step_schedule([[0.0, 0.8], [0.1, 3.0], [1.3, -0.5]]), 0.2),
+    ],
+    ids=["constant", "harmonic", "quartic", "switched_linear"],
+)
+def test_lindblad_matches_stepped_oracle(grid, v, t0):
+    f0 = make_cat_density(grid, 4.0, 0.7)
+    f0 = DensityGrid(grid, f0.values, t0)
+    nu = np.linspace(0.0, 1.2, grid.n_points)
+    nu[::5] = 0.0  # undamped cells
+    spec = NoiseSpec(nu)
+    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=3, include_kinetic=False)
+    traj = lindblad_evolve(f0, v, spec, cfg)
+    times, states = _stepped_lindblad(f0, v, spec, cfg)
+    assert traj.times == times
+    peak = np.abs(f0.values).max()
+    for state, ref, d in zip(traj.states, states, traj.diagnostics):
+        assert np.abs(state.values - ref).max() <= 1e-14 * peak
+        assert np.array_equal(np.diag(state.values), np.diag(f0.values))
+        assert d["boundary_fraction"] == boundary_fraction(state.values)
+        assert abs(d["trace"] - f0.trace()) == 0.0
+        assert d["hermiticity_defect"] <= 1e-15 * peak
+
+
+def test_lindblad_damping_clock_starts_at_f0(grid):
+    # the damping rate grows with the time since f0, not with f0.time + t:
+    # a state recorded at time 1 decays over [1, 2] as one at 0 over [0, 1]
+    cat = make_cat_density(grid, 4.0, 0.7)
+    f0 = DensityGrid(grid, cat.values, 1.0)
+    spec = NoiseSpec(nu=1.0, seed=5)
+    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=5, include_kinetic=False)
+    traj = lindblad_evolve(f0, Constant(0.0), spec, cfg)
+    predicted = decay_predict(f0, spec, 1.0)
+    assert traj.times[-1] == predicted.time == 2.0
+    assert np.abs(traj.states[-1].values - predicted.values).max() <= 1e-15
+    rep = ensemble_evolve(f0, Constant(0.0), spec, 1000, cfg)
+    assert compare_ensemble_vs_lindblad(rep, traj, spec)["pass"]
 
 
 def test_zero_noise_ensemble_follows_time_dependent_potential(cat):
@@ -523,9 +607,8 @@ def test_zero_noise_ensemble_follows_time_dependent_potential(cat):
         lambda f, v, cfg: liouville_evolve_xp(Qq_to_xp(f), v, cfg),
         lambda f, v, cfg: von_neumann_evolve(f, v, cfg),
         lambda f, v, cfg: qq_liouville_evolve(f, v, cfg),
-        lambda f, v, cfg: lindblad_evolve(f, v, NoiseSpec(1.0), cfg),
     ],
-    ids=["xp", "von_neumann", "qq", "lindblad"],
+    ids=["xp", "von_neumann", "qq"],
 )
 def test_dt_guard_warning_names_the_caller(cat, run):
     cfg = EvolverConfig(dt=0.05, n_steps=1, tail_threshold=1.0)  # dt > 0.1 dx^2
@@ -624,12 +707,13 @@ def test_monte_carlo_convergence_rate(grid):
 
 
 def test_short_time_consistency_third_order():
-    """With transport on, |exact quenched average - stepper| shrinks as t^3.
+    """With transport on, |exact quenched average - stepped law| shrinks as t^3.
 
     Noise on a single cell makes the quenched average a one-dimensional
     Gaussian integral, evaluated here by Gauss-Hermite quadrature, so no
     Monte Carlo error enters.  The single-cell spike rings spectrally, so
-    the tail monitor is disabled; both sides share the ringing.
+    the exact side's tail monitor is disabled (the oracle has none); both
+    sides share the ringing.
     """
     grid = GridSpec(48, 10.0)
     nu0 = 1.0
@@ -659,23 +743,37 @@ def test_short_time_consistency_third_order():
         n_steps = max(2, int(round(t / 0.00125)))
         cfg = EvolverConfig(dt=t / n_steps, n_steps=n_steps,
                             record_every=n_steps, tail_threshold=1.0)
-        stepped = lindblad_evolve(f0, Constant(0.0), NoiseSpec(nu_profile), cfg)
-        diffs.append(
-            np.abs(exact_average(t, n_steps) - stepped.states[-1].values).max()
-        )
+        _, stepped = _stepped_lindblad(f0, Constant(0.0), NoiseSpec(nu_profile), cfg)
+        diffs.append(np.abs(exact_average(t, n_steps) - stepped[-1]).max())
     growth = diffs[1] / diffs[0]
     assert 27.0 * 0.5 <= growth <= 27.0 * 1.5
+
+
+def corner_packet(grid):
+    packet = make_cat_density(grid, 0.0, 0.7).values
+    half = grid.n_points // 2
+    return DensityGrid(grid, np.roll(packet, (half, half), axis=(0, 1)))
+
+
+CORNER_CFG = EvolverConfig(
+    dt=0.01, n_steps=400, record_every=400, include_kinetic=False
+)
 
 
 def test_realization_error_carries_index(grid):
     # a packet rolled onto the box corner makes every realization fail
     # alike, so the error names the first
-    packet = make_cat_density(grid, 0.0, 0.7).values
-    half = grid.n_points // 2
-    f0 = DensityGrid(grid, np.roll(packet, (half, half), axis=(0, 1)))
     spec = NoiseSpec(nu=0.1, seed=1)
-    cfg = EvolverConfig(dt=0.01, n_steps=400, record_every=400, include_kinetic=False)
     with pytest.raises(RealizationError) as err:
-        ensemble_evolve(f0, Constant(0.0), spec, 2, cfg)
+        ensemble_evolve(corner_packet(grid), Constant(0.0), spec, 2, CORNER_CFG)
     assert err.value.index == 0
     assert isinstance(err.value.__cause__, BoundaryContaminationError)
+
+
+def test_lindblad_aborts_on_the_initial_tail(grid):
+    # the ensemble's tail rule: f0's tail bounds every record's
+    f0 = corner_packet(grid)
+    with pytest.raises(BoundaryContaminationError) as err:
+        lindblad_evolve(f0, Constant(0.0), NoiseSpec(nu=0.1), CORNER_CFG)
+    assert err.value.step == 1
+    assert err.value.fraction == boundary_fraction(f0.values)

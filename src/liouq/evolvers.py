@@ -63,7 +63,7 @@ peak after 6000 steps).
 Two studies run a job on a second thread through ``_beside``, which
 starts one thread per call and joins it before it returns: the
 equivalence study steps the classical engine there, and the quenched
-closed form in ``stochastic`` splits its records there.  A job that
+closed form in ``stochastic`` sums every other block there.  A job that
 fails sets a stop event that ``_strang`` polls at records and
 ``_dense_density`` at its stops, through a context variable the caller's
 thread alone sees, so the engines on the caller's thread end there; the

@@ -141,21 +141,26 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     small phases keep their relative accuracy.  A block's noise rows
     come from one pass over its streams (``streams.normal_rows``).
 
-    With more than one record, the records are split by parity between
-    this thread and a second one, one ``evolvers._beside`` call per
-    block: this thread draws the block's rows and builds b_g first, so no
-    GIL-bound draw runs beside the second thread's products.  Both
-    threads then step the rows from record 0, each adding the block to
-    its own records' sums only, and one more call finishes each side's
-    records' mean and M2.  So every record's sums take the same operands
-    in the same block order as on one thread, bit for bit, and no second
-    accumulator is needed.
+    The blocks alternate between this thread, which takes the even ones,
+    and a second one (``evolvers._beside``): each thread draws its own
+    blocks' rows, steps them once through all records and adds them to
+    its own sums.  This thread's ``pair`` sums live in ``mean[1:]``, so
+    the second thread's are the only extra record-sized array; this
+    thread then adds them to its own, a fixed order, so the result does
+    not depend on thread timing and equals a run of both jobs on one
+    thread.  With at most two blocks every sum takes the operands in the
+    order a single loop over the blocks would, bit for bit; with more,
+    the block sums are added in another order.  A second call splits
+    the records by parity and turns each record's sums into its mean in
+    place.  A run makes two thread starts; one block makes the first
+    call, and one record the second, start none.
 
     Raises ``RealizationError`` for the first failing realization: 0
     with ``BoundaryContaminationError`` at step 1 when f0's tail is over
     the limit (unit-modulus factors keep |f|, so a stepper would abort
     there), else a ``DomainError`` for a non-finite potential phase (0)
-    or noise row (its k).
+    or noise row (the smallest such k: each thread stops at its first
+    one, and every block below the smaller was checked by its owner).
     """
     grid = f0.grid
     n = grid.n_points
@@ -170,60 +175,83 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     if not all(np.all(np.isfinite(d)) for d in phases):
         cause = DomainError("potential phase is not finite")
         raise RealizationError(0, cause) from cause
-    pair = np.zeros((len(steps), n, n), dtype=complex)
+    times = [f0.time] + [f0.time + step * cfg.dt for step in steps]
+    mean = np.zeros((len(times), n, n), dtype=complex)
+    mean[0] = f0.values
     first = np.zeros((len(steps), n), dtype=complex)
 
-    def accumulate(own: range) -> None:
-        # adds the current block, whose b_g are ``b_gap``
-        b = np.zeros_like(b_gap[gaps[0]])
-        update = np.empty_like(b)
-        for r, g in enumerate(gaps):
-            # b += b_g + b b_g, in place
-            np.multiply(b, b_gap[g], out=update)
-            update += b_gap[g]
-            b += update
-            if r in own:
-                pair[r] += b.T @ b.conj()
-                first[r] += b.sum(axis=0)
+    def accumulate(blocks: range, sums) -> int | None:
+        # adds the blocks to the sums; the first non-finite row's k stops it
+        pair_sum, first_sum = sums
+        for start in blocks:
+            ks = range(start, min(start + _BLOCK, M))
+            dv = profile * normal_rows(spec.seed, ks, n)
+            finite = np.isfinite(dv).all(axis=1)
+            if not finite.all():
+                return ks[int(np.argmin(finite))]
+            b_gap = {g: _phase_minus_one((g * cfg.dt) * dv) for g in set(gaps)}
+            b = np.zeros_like(b_gap[gaps[0]])
+            update = np.empty_like(b)
+            for r, g in enumerate(gaps):
+                # b += b_g + b b_g, in place
+                np.multiply(b, b_gap[g], out=update)
+                update += b_gap[g]
+                b += update
+                pair_sum[r] += b.T @ b.conj()
+                first_sum[r] += b.sum(axis=0)
+        return None
 
-    def finish(own: range) -> None:
-        for r in own:
-            d = phases[r]
-            shift = (first[r][:, None] + first[r].conj()[None, :] + pair[r]) / M
-            mean[r + 1] = f0.values * np.outer(d, d.conj()) * (1.0 + shift)
-            second = pair[r].real.diagonal()
-            spread = second[:, None] + second[None, :] - 2.0 * pair[r].real
+    def finish(records: range) -> None:
+        # shift = (first(Q) + conj(first(q)) + pair) / M; the mean
+        # f0 D (1 + shift) is formed in the buffer of the record's sums
+        shift = np.empty((n, n), dtype=complex)
+        work = np.empty((n, n))
+        for r in records:
+            pair, total, d, spread = mean[r + 1], first[r], phases[r], m2[r + 1]
+            np.add(total[:, None], total.conj()[None, :], out=shift)
+            shift += pair
+            shift /= M
+            second = pair.real.diagonal()
+            np.add(second[:, None], second[None, :], out=spread)
+            spread -= np.multiply(2.0, pair.real, out=work)
+            np.square(np.abs(shift, out=work), out=work)
+            spread -= np.multiply(M, work, out=work)
             # non-negative in exact arithmetic (Cauchy-Schwarz); guard rounding
-            m2[r + 1] = abs_f0_sq * np.maximum(spread - M * np.abs(shift) ** 2, 0.0)
+            np.maximum(spread, 0.0, out=spread)
+            np.multiply(abs_f0_sq, spread, out=spread)
+            shift += 1.0
+            np.multiply(d[:, None], d.conj()[None, :], out=pair)
+            np.multiply(f0.values, pair, out=pair)
+            pair *= shift
             # dV(Q) - dV(Q) vanishes: the diagonal never moves
-            mean[r + 1][diag] = f0.values[diag]
-            m2[r + 1][diag] = 0.0
+            pair[diag] = f0.values[diag]
+            spread[diag] = 0.0
 
-    records = range(len(steps))
-    mine, theirs = records[0::2], records[1::2]
-
-    def split(work) -> None:  # one record starts no thread
-        if theirs:
-            _beside(lambda: work(theirs), lambda: work(mine))
-        else:
-            work(mine)
-
-    for start in range(0, M, _BLOCK):
-        ks = range(start, min(start + _BLOCK, M))
-        dv = profile * normal_rows(spec.seed, ks, n)
-        finite = np.isfinite(dv).all(axis=1)
-        if not finite.all():
-            cause = DomainError("noise field is not finite")
-            raise RealizationError(ks[int(np.argmin(finite))], cause) from cause
-        b_gap = {g: _phase_minus_one((g * cfg.dt) * dv) for g in set(gaps)}
-        split(accumulate)
-    times = [f0.time] + [f0.time + step * cfg.dt for step in steps]
-    mean = np.empty((len(times), n, n), dtype=complex)
+    blocks, mine = range(0, M, _BLOCK), (mean[1:], first)
+    if len(blocks) > 1:
+        theirs = (np.zeros_like(mean[1:]), np.zeros_like(first))
+        found = _beside(
+            lambda: accumulate(blocks[1::2], theirs),
+            lambda: accumulate(blocks[0::2], mine),
+        )
+    else:  # one block starts no thread
+        theirs, found = None, [accumulate(blocks, mine)]
+    found = [k for k in found if k is not None]
+    if found:
+        cause = DomainError("noise field is not finite")
+        raise RealizationError(min(found), cause) from cause
+    if theirs is not None:
+        mean[1:] += theirs[0]
+        first += theirs[1]
+        theirs = None  # freed before m2 is written
     m2 = np.zeros(mean.shape)
-    mean[0] = f0.values
     abs_f0_sq = np.abs(f0.values) ** 2
     diag = np.diag_indices(n)
-    split(finish)
+    records = range(len(steps))
+    if len(records) > 1:
+        _beside(lambda: finish(records[1::2]), lambda: finish(records[0::2]))
+    else:  # one record starts no thread
+        finish(records)
     return times, mean, m2
 
 
@@ -246,8 +274,13 @@ def ensemble_evolve(
     V's midpoint phases.  ``_closed_form_moments`` forms the means and
     elementwise standard errors at every recorded time, one matrix
     product per record and block of realizations, so memory does not
-    grow with M, on this thread and a second one, bit for bit as on one
-    thread.  The diagonal keeps f0's values exactly.  Raises
+    grow with M.  The blocks alternate between this thread and a second
+    one, whose sums are added to this thread's in a fixed order: reruns
+    are bit-identical, and equal a run of both threads' jobs on one
+    thread; with at most two blocks the sums are those of one loop over
+    the blocks, bit for bit.  The means are formed in the buffer that
+    held the sums, and the standard errors in the one that held M2.
+    The diagonal keeps f0's values exactly.  Raises
     ``RealizationError`` when f0's tail is over the limit or a phase is
     not finite.
     """
@@ -259,7 +292,8 @@ def ensemble_evolve(
     if M < 2:
         raise ConfigError("need M >= 2 realizations for error bars")
     times, mean, m2 = _closed_form_moments(f0, V, spec, M, cfg)
-    stderr = np.sqrt(m2 / ((M - 1) * M))
+    m2 /= (M - 1) * M
+    stderr = np.sqrt(m2, out=m2)
     return EnsembleReport(
         n_realizations=M,
         seed=spec.seed,
@@ -300,14 +334,17 @@ def lindblad_evolve(
     tail = _check_tail(f0.values, cfg.tail_threshold, 1)
     steps = sorted(_record_steps(cfg))
     phases = _potential_phases(V, grid.x, f0.time, cfg.dt, steps)
+    nu = spec.nu_on_grid(grid)
+    rates = nu[:, None] ** 2 + nu[None, :] ** 2
     diag = np.diag_indices(grid.n_points)
     times, states, diags = [f0.time], [f0], [_density_diag(f0, tail)]
     for step, d in zip(steps, phases):
-        decayed = decay_predict(f0, spec, step * cfg.dt)
-        values = decayed.values * np.outer(d, d.conj())
+        t = step * cfg.dt
+        # decay_predict's product, then the phases; the diagonal is restored
+        values = f0.values * np.exp(-0.5 * t**2 * rates) * np.outer(d, d.conj())
         values[diag] = f0.values[diag]
-        times.append(decayed.time)
-        states.append(DensityGrid(grid, values, decayed.time))
+        times.append(f0.time + t)
+        states.append(DensityGrid(grid, values, times[-1]))
         diags.append(_density_diag(states[-1], boundary_fraction(values)))
     return Trajectory(times, states, diags)
 

@@ -1,6 +1,7 @@
 """Noise sampling, ensemble averaging, dissipative evolution, decay law."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,25 +321,19 @@ def test_split_records_match_the_sequential_oracle_bit_for_bit(
 @pytest.mark.parametrize("case", ["normal", "tail_alarm", "non_finite_phase"])
 def test_closed_form_leaves_no_thread(cat, monkeypatch, case):
     cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1, include_kinetic=False)
-    f0, M, seen, calls = cat, _BLOCK + 5, [], []
+    f0, M = cat, _BLOCK + 5
     if case == "tail_alarm":
         f0 = DensityGrid(cat.grid, np.ones(cat.values.shape))
     if case == "non_finite_phase":
-        real, beside = stochastic.normal_rows, stochastic._beside
+        real = stochastic.normal_rows
 
         def rows(seed, ks, n):  # the row of realization _BLOCK + 3 is infinite
             out = real(seed, ks, n)
             if ks.start >= _BLOCK:
-                seen.append(len(calls))
                 out[3] = np.inf
             return out
 
-        def spy(job, own):
-            calls.append(job)
-            return beside(job, own)
-
         monkeypatch.setattr(stochastic, "normal_rows", rows)
-        monkeypatch.setattr(stochastic, "_beside", spy)
     before = threading.active_count()
 
     def run():
@@ -356,8 +351,6 @@ def test_closed_form_leaves_no_thread(cat, monkeypatch, case):
         assert err.value.index == index
         assert isinstance(err.value.__cause__, cause)
     assert threading.active_count() == before
-    if case == "non_finite_phase":
-        assert seen == [1]  # block 0 ran through _beside, block 1 never did
 
 
 def test_closed_form_raises_a_worker_error(cat, monkeypatch):
@@ -376,11 +369,111 @@ def test_closed_form_raises_a_worker_error(cat, monkeypatch):
 def test_closed_form_rerun_is_deterministic(cat):
     spec = NoiseSpec(nu=1.0, seed=13)
     cfg = EvolverConfig(dt=0.1, n_steps=5, record_every=1, include_kinetic=False)
-    a = ensemble_evolve(cat, Harmonic(1.0), spec, 150, cfg)
-    b = ensemble_evolve(cat, Harmonic(1.0), spec, 150, cfg)
-    for sa, sb, ea, eb in zip(a.mean_states, b.mean_states, a.stderr, b.stderr):
-        assert np.array_equal(sa.values, sb.values)
+    for M in (150, SPLIT_M):  # two blocks, then four: two per thread
+        a = ensemble_evolve(cat, Harmonic(1.0), spec, M, cfg)
+        b = ensemble_evolve(cat, Harmonic(1.0), spec, M, cfg)
+        for sa, sb, ea, eb in zip(a.mean_states, b.mean_states, a.stderr, b.stderr):
+            assert np.array_equal(sa.values, sb.values)
+            assert np.array_equal(ea, eb)
+
+
+SPLIT_M = 3 * _BLOCK + 37  # blocks 0 and 2 on the caller's thread, 1 and 3 beside
+
+
+def split_run(cat, grid):
+    nu = np.linspace(0.0, 1.2, grid.n_points)
+    nu[::5] = 0.0
+    spec = NoiseSpec(nu=nu, seed=7)
+    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=1, include_kinetic=False)
+    return ensemble_evolve(cat, Harmonic(1.0), spec, SPLIT_M, cfg), (spec, cfg)
+
+
+def test_block_split_equals_both_jobs_on_one_thread(cat, grid, monkeypatch):
+    # the job's sums are added to the caller's in a fixed order, so thread
+    # timing cannot move a bit; a run makes two thread starts
+    threaded, _ = split_run(cat, grid)
+    starts = []
+
+    def alone(job, own):
+        starts.append(job)
+        return job(), own()
+
+    monkeypatch.setattr(stochastic, "_beside", alone)
+    sequential, _ = split_run(cat, grid)
+    assert len(starts) == 2  # accumulation and finish
+    assert len(threaded.times) == 21
+    for a, b, ea, eb in zip(
+        threaded.mean_states, sequential.mean_states, threaded.stderr, sequential.stderr
+    ):
+        assert np.array_equal(a.values, b.values)
         assert np.array_equal(ea, eb)
+
+
+def test_block_split_matches_the_sequential_oracle(cat, grid):
+    # more than two blocks are summed in another order than one loop over
+    # them: 3.6e-16 of |f0| in the mean and 4.7e-16 relative in the
+    # standard errors at worst (measured); exact zeros stay exact
+    rep, (spec, cfg) = split_run(cat, grid)
+    times, mean, m2 = sequential_closed_form(cat, Harmonic(1.0), spec, SPLIT_M, cfg)
+    stderr = np.sqrt(m2 / ((SPLIT_M - 1) * SPLIT_M))
+    assert rep.times == times
+    for got, err, m, e in zip(rep.mean_states, rep.stderr, mean, stderr):
+        assert np.all(np.abs(got.values - m) <= 4e-15 * np.abs(cat.values))
+        assert np.all(np.abs(err - e) <= 1e-14 * e)
+
+
+@pytest.mark.parametrize(
+    "bad, index",
+    [
+        ((_BLOCK + 9, 2 * _BLOCK + 1), _BLOCK + 9),  # the job's block 1, then block 2
+        ((2 * _BLOCK + 5, 3 * _BLOCK + 2), 2 * _BLOCK + 5),  # block 2, then the job's 3
+    ],
+    ids=["odd_block_first", "even_block_first"],
+)
+def test_closed_form_names_the_smallest_bad_realization(cat, monkeypatch, bad, index):
+    # each thread stops at its first non-finite row; every block below the
+    # smaller one was checked by its owner
+    real, drawn = stochastic.normal_rows, []
+
+    def rows(seed, ks, n):
+        drawn.append(ks.start // _BLOCK)
+        out = real(seed, ks, n)
+        for k in bad:
+            if k in ks:
+                out[k - ks.start] = np.nan
+        return out
+
+    monkeypatch.setattr(stochastic, "normal_rows", rows)
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1, include_kinetic=False)
+    before = threading.active_count()
+    with pytest.raises(RealizationError) as err:
+        ensemble_evolve(cat, Constant(0.0), NoiseSpec(nu=1.0, seed=3), 6 * _BLOCK, cfg)
+    assert err.value.index == index
+    assert isinstance(err.value.__cause__, DomainError)
+    assert threading.active_count() == before
+    # neither thread drew past its own bad block
+    last = {k // _BLOCK for k in bad}
+    assert set(drawn) == set(range(max(last) + 1))
+
+
+def test_closed_form_keeps_its_sums_in_the_means_buffer():
+    # the caller's sums live in the means' buffer and the standard errors are
+    # formed in M2's, so the peak is the means' bytes plus one record-sized
+    # complex array (the job's sums) and block work: 2.24x the means' bytes
+    # at n = 64 and 100 records (measured); one more sums array adds 1x
+    grid = GridSpec(64, 10.0)
+    cat = make_cat_density(grid, 4.0, 0.7)
+    cfg = EvolverConfig(dt=0.01, n_steps=100, record_every=1, include_kinetic=False)
+    spec = NoiseSpec(nu=1.0, seed=3)
+    means_bytes = 101 * grid.n_points**2 * 16
+    tracemalloc.start()
+    try:
+        rep = ensemble_evolve(cat, Constant(0.0), spec, 2 * _BLOCK, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.times) == 101
+    assert peak <= 2.5 * means_bytes
 
 
 @pytest.mark.parametrize(
@@ -576,6 +669,13 @@ def test_lindblad_matches_stepped_oracle(grid, v, t0):
         assert d["boundary_fraction"] == boundary_fraction(state.values)
         assert abs(d["trace"] - f0.trace()) == 0.0
         assert d["hermiticity_defect"] <= 1e-15 * peak
+    # each record is decay_predict's state times the phases, bit for bit
+    steps = sorted(_record_steps(cfg))
+    phases = stochastic._potential_phases(v, grid.x, t0, cfg.dt, steps)
+    for state, step, d in zip(traj.states[1:], steps, phases):
+        expected = decay_predict(f0, spec, step * cfg.dt).values * np.outer(d, d.conj())
+        np.fill_diagonal(expected, np.diag(f0.values))
+        assert np.array_equal(state.values, expected)
 
 
 def test_lindblad_damping_clock_starts_at_f0(grid):

@@ -10,6 +10,7 @@ import pytest
 from liouq import evolvers, studies
 from liouq import (
     RunReport,
+    decay_predict,
     emit_outputs,
     run_decoherence_study,
     run_equivalence_study,
@@ -259,11 +260,18 @@ def test_dt_guard_warns_once_naming_the_caller():
 
 
 def test_decoherence_study_passes():
-    report, curves = run_decoherence_study(scenario_from_text(CAT))
+    scenario = scenario_from_text(CAT)
+    report, curves = run_decoherence_study(scenario)
     assert report.passed
     assert abs(report.metrics["probe_0_fit_ratio"] - 1.0) <= 0.05
     probe = curves["tables"]["decay_probe_0"]
     assert len(probe["t"]) == len(probe["abs_f"]) == len(probe["stderr"])
+    # the law evaluated at the probes alone is decay_predict's, bit for bit
+    f0, spec = scenario.build_initial_density(), scenario.build_noise_spec()
+    for idx, (i, j) in enumerate(studies._default_probes(scenario, f0.grid)):
+        table = curves["tables"][f"decay_probe_{idx}"]
+        law = [abs(decay_predict(f0, spec, t).values[i, j]) for t in table["t"]]
+        assert np.array_equal(table["predicted"], law)
 
 
 def test_decoherence_fit_checks_run_for_any_potential():
@@ -372,14 +380,16 @@ def test_decay_csv_header(tmp_path):
 
 
 def test_outputs_deterministic(tmp_path):
-    scenario = scenario_from_text(CAT_50)
-    for sub in ("a", "b"):
-        report, curves = run_decoherence_study(scenario)
-        emit_outputs(report, curves, tmp_path / sub)
-    for name in ("summary.json", "decay_probe_0.csv", "decay_probe_1.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (
-            tmp_path / "b" / name
-        ).read_bytes()
+    # one block of realizations, then four: two on each thread
+    for text in (CAT_50, CAT):
+        scenario = scenario_from_text(text)
+        for sub in ("a", "b"):
+            report, curves = run_decoherence_study(scenario)
+            emit_outputs(report, curves, tmp_path / sub)
+        for name in ("summary.json", "decay_probe_0.csv", "decay_probe_1.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,9 @@ class TimeStepWarning(UserWarning):
 class EvolverConfig:
     """Stepping parameters shared by all engines.
 
-    ``include_kinetic=False`` freezes the kinetic factor, the switch the
-    decoherence studies use to isolate the potential phases.
+    ``include_kinetic=False`` freezes the kinetic factor.  The two
+    closed forms in ``stochastic`` require it (``stochastic._frozen_walk``
+    says why), and the decoherence study sets it; no scenario key does.
     """
 
     dt: float

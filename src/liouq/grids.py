@@ -393,7 +393,8 @@ def save_state(state, path) -> None:
 def load_state(path):
     """Read a state written by :func:`save_state`.
 
-    The body must hold one ``i,j,re,im`` row per grid cell, else ``ConfigError``.
+    The header's ``L`` and ``time`` must be finite numbers and the body
+    must hold one ``i,j,re,im`` row per grid cell, else ``ConfigError``.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -401,12 +402,16 @@ def load_state(path):
         if match is None:
             raise ConfigError(f"unrecognized state header: {header!r}")
         n = int(match.group(1))
-        half_width = float(match.group(2))
+        try:
+            half_width, time = float(match.group(2)), float(match.group(4))
+        except ValueError:
+            half_width = time = np.nan
+        if not np.isfinite([half_width, time]).all():
+            raise ConfigError(f"header L and time must be finite numbers: {header!r}")
         kinds = {kind.axes: kind for kind in _State.__subclasses__()}
         kind = kinds.get(match.group(3))
         if kind is None:
             raise ConfigError(f"unknown axes {match.group(3)!r}")
-        time = float(match.group(4))
         vals = np.zeros((n, n), dtype=complex)
         seen = np.zeros((n, n), dtype=bool)
         for line in filter(str.strip, fh):

@@ -69,7 +69,6 @@ SCHEMA = {
     "evolve.t_final": ("float", 1.0),
     "evolve.record_every": ("int", 0),  # 0 = choose about 32 records
     "evolve.tail_threshold": ("float", 1e-10),
-    "evolve.include_kinetic": ("bool", True),
     "noise.nu0": ("float", 1.0),
     "noise.seed": ("int", 12345),
     "ensemble.realizations": ("int", 1000),
@@ -78,7 +77,7 @@ SCHEMA = {
 }
 
 _NUMERIC = ("float", "float_or_list", "list")  # type tags whose values are numbers
-_AS_IS = {"bool": bool, "str": str, "list": list}  # type tags kept as parsed
+_AS_IS = {"str": str, "list": list}  # type tags kept as parsed
 _ENGINES = ("classical", "qq", "vonneumann")
 _STATE_KINDS = ("gaussian", "cat")
 
@@ -242,7 +241,6 @@ class Scenario:
             n_steps=n_steps,
             record_every=record_every,
             tail_threshold=self["evolve.tail_threshold"],
-            include_kinetic=self["evolve.include_kinetic"],
         )
 
     def build_noise_spec(self) -> NoiseSpec:

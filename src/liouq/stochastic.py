@@ -123,10 +123,47 @@ def _potential_phases(V, x, t0, dt, steps) -> list:
     return phases
 
 
+def _frozen_walk(f0: DensityGrid, V: Potential, cfg: EvolverConfig):
+    """Sorted record steps and V's midpoint phases d_s there, for a closed form.
+
+    Both closed forms run with transport frozen.  Their noise factors are
+    not smooth (the lattice white noise, the damping across the
+    diagonal), and spectral kinetic steps would ring them out to the box
+    edge, so ``cfg.include_kinetic`` must be False (else ``ConfigError``).
+    Every factor is then pointwise and the factors commute, so record
+    step s is f0 times d_s(Q) conj(d_s(q)) times a noise factor, and
+    nothing is stepped.  No factor has modulus above 1, and for a
+    Hermitian positive f0 the peak is on the diagonal, which never
+    moves, so no record's tail exceeds f0's: f0's tail over the limit
+    raises ``BoundaryContaminationError`` at step 1, where a stepper
+    would abort.  A non-finite phase raises ``DomainError``.
+    """
+    if cfg.include_kinetic:
+        raise ConfigError(
+            "the closed forms need the kinetic term off (include_kinetic=False): "
+            "spectral kinetic steps ring the noise factor out to the box edge"
+        )
+    _check_tail(f0.values, cfg.tail_threshold, 1)
+    steps = sorted(_record_steps(cfg))
+    phases = _potential_phases(V, f0.grid.x, f0.time, cfg.dt, steps)
+    if not all(np.all(np.isfinite(d)) for d in phases):
+        raise DomainError("potential phase is not finite")
+    return steps, phases
+
+
+def _decay_rates(spec: NoiseSpec, grid: GridSpec) -> np.ndarray:
+    """nu^2(Q) + nu^2(q) off the diagonal and 0 on it: the coherence decay rates."""
+    nu = spec.nu_on_grid(grid)
+    rates = nu[:, None] ** 2 + nu[None, :] ** 2
+    np.fill_diagonal(rates, 0.0)
+    return rates
+
+
 def _closed_form_moments(f0, V, spec, M, cfg):
     """Quenched pure-phase ensemble without stepping (see ensemble_evolve).
 
-    With u_k = exp(-i t dV_k) and b_k = u_k - 1, realization k at record
+    Transport is frozen, for the reason ``_frozen_walk`` states.  With
+    u_k = exp(-i t dV_k) and b_k = u_k - 1, realization k at record
     step s is f0 D w_k, where D(Q, q) = d_s(Q) conj(d_s(q)) carries V
     (``_potential_phases``) and w_k = u_k(Q) conj(u_k(q)).  Only
     realization sums of b and of b(Q) conj(b(q)) are needed: the latter,
@@ -152,29 +189,24 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     order a single loop over the blocks would, bit for bit; with more,
     the block sums are added in another order.  A second call splits
     the records by parity and turns each record's sums into its mean in
-    place.  A run makes two thread starts; one block makes the first
-    call, and one record the second, start none.
+    place.  A run makes two thread starts, whatever M and the number of
+    records.
 
     Raises ``RealizationError`` for the first failing realization: 0
-    with ``BoundaryContaminationError`` at step 1 when f0's tail is over
-    the limit (unit-modulus factors keep |f|, so a stepper would abort
-    there), else a ``DomainError`` for a non-finite potential phase (0)
-    or noise row (the smallest such k: each thread stops at its first
-    one, and every block below the smaller was checked by its owner).
+    with ``_frozen_walk``'s ``BoundaryContaminationError`` or
+    ``DomainError`` (f0's tail, a non-finite potential phase), else a
+    ``DomainError`` for a non-finite noise row (the smallest such k:
+    each thread stops at its first one, and every block below the
+    smaller was checked by its owner).
     """
+    try:
+        steps, phases = _frozen_walk(f0, V, cfg)
+    except (BoundaryContaminationError, DomainError) as cause:
+        raise RealizationError(0, cause) from cause
     grid = f0.grid
     n = grid.n_points
     profile = spec.nu_on_grid(grid)
-    try:
-        _check_tail(f0.values, cfg.tail_threshold, 1)
-    except BoundaryContaminationError as cause:
-        raise RealizationError(0, cause) from cause
-    steps = sorted(_record_steps(cfg))
     gaps = np.diff(steps, prepend=0)
-    phases = _potential_phases(V, grid.x, f0.time, cfg.dt, steps)
-    if not all(np.all(np.isfinite(d)) for d in phases):
-        cause = DomainError("potential phase is not finite")
-        raise RealizationError(0, cause) from cause
     times = [f0.time] + [f0.time + step * cfg.dt for step in steps]
     mean = np.zeros((len(times), n, n), dtype=complex)
     mean[0] = f0.values
@@ -227,31 +259,26 @@ def _closed_form_moments(f0, V, spec, M, cfg):
             pair[diag] = f0.values[diag]
             spread[diag] = 0.0
 
-    blocks, mine = range(0, M, _BLOCK), (mean[1:], first)
-    if len(blocks) > 1:
-        theirs = (np.zeros_like(mean[1:]), np.zeros_like(first))
-        found = _beside(
-            lambda: accumulate(blocks[1::2], theirs),
-            lambda: accumulate(blocks[0::2], mine),
-        )
-    else:  # one block starts no thread
-        theirs, found = None, [accumulate(blocks, mine)]
+    blocks = range(0, M, _BLOCK)
+    theirs = (np.zeros_like(mean[1:]), np.zeros_like(first))
+    found = _beside(
+        lambda: accumulate(blocks[1::2], theirs),
+        lambda: accumulate(blocks[0::2], (mean[1:], first)),
+    )
     found = [k for k in found if k is not None]
     if found:
         cause = DomainError("noise field is not finite")
         raise RealizationError(min(found), cause) from cause
-    if theirs is not None:
-        mean[1:] += theirs[0]
-        first += theirs[1]
-        theirs = None  # freed before m2 is written
+    # sums start at +0.0 and never become -0.0, so adding a job's untouched
+    # zeros (one block) leaves the caller's sums bit for bit as they were
+    mean[1:] += theirs[0]
+    first += theirs[1]
+    theirs = None  # freed before m2 is written
     m2 = np.zeros(mean.shape)
     abs_f0_sq = np.abs(f0.values) ** 2
     diag = np.diag_indices(n)
     records = range(len(steps))
-    if len(records) > 1:
-        _beside(lambda: finish(records[1::2]), lambda: finish(records[0::2]))
-    else:  # one record starts no thread
-        finish(records)
+    _beside(lambda: finish(records[1::2]), lambda: finish(records[0::2]))
     return times, mean, m2
 
 
@@ -265,11 +292,10 @@ def ensemble_evolve(
     """Average M quenched noisy evolutions of the same initial state.
 
     Each realization evolves under V + dV_k, dV_k static over the whole
-    window, with transport frozen: spectral kinetic steps would ring the
-    lattice white-noise factor out to the box edge, so
-    ``cfg.include_kinetic`` must be False (else ``ConfigError``).  Every
-    step is then a pure phase and the phases commute, so nothing is
-    stepped: s steps multiply f0 exactly by
+    window, with transport frozen (``cfg.include_kinetic`` must be False,
+    for the reason ``_frozen_walk`` states).  Every step is then a pure
+    phase and the phases commute, so nothing is stepped: s steps
+    multiply f0 exactly by
     d_s(Q) conj(d_s(q)) exp(-i s dt [dV_k(Q) - dV_k(q)]), where d_s sums
     V's midpoint phases.  ``_closed_form_moments`` forms the means and
     elementwise standard errors at every recorded time, one matrix
@@ -284,11 +310,6 @@ def ensemble_evolve(
     ``RealizationError`` when f0's tail is over the limit or a phase is
     not finite.
     """
-    if cfg.include_kinetic:
-        raise ConfigError(
-            "noisy ensembles need the kinetic term off (include_kinetic=False): "
-            "spectral kinetic steps ring the white-noise factor out to the box edge"
-        )
     if M < 2:
         raise ConfigError("need M >= 2 realizations for error bars")
     times, mean, m2 = _closed_form_moments(f0, V, spec, M, cfg)
@@ -312,41 +333,29 @@ def lindblad_evolve(
 ) -> Trajectory:
     """Potential phases plus off-diagonal damping at rate t [nu^2(Q) + nu^2(q)].
 
-    t is the time since f0.  The damping is not smooth across the
-    diagonal, and spectral kinetic steps would ring it out to the box
-    edge, so ``cfg.include_kinetic`` must be False (else ``ConfigError``).
-    The pointwise factors then commute, so record step s is, in closed
-    form, ``decay_predict(f0, spec, s dt)`` times d_s(Q) conj(d_s(q)),
-    with d_s V's midpoint phases as in the ensemble's closed form.  The
-    diagonal keeps f0's values exactly.  Raises
-    ``BoundaryContaminationError`` at step 1 when f0's tail is over the
-    limit, as the ensemble does: for a Hermitian positive f0 no record's
-    tail exceeds f0's, as the peak is on the kept diagonal and no factor
-    off it exceeds modulus 1.
+    t is the time since f0.  Transport is frozen (``cfg.include_kinetic``
+    must be False, for the reason ``_frozen_walk`` states), so record
+    step s is, in closed form, ``decay_predict(f0, spec, s dt)`` times
+    d_s(Q) conj(d_s(q)), with d_s V's midpoint phases as in the
+    ensemble's closed form.  The diagonal keeps f0's values exactly.
+    Raises ``_frozen_walk``'s errors bare: ``BoundaryContaminationError``
+    at step 1 when f0's tail is over the limit, ``DomainError`` for a
+    non-finite potential phase.
     """
-    if cfg.include_kinetic:
-        raise ConfigError(
-            "the dissipative evolution needs the kinetic term off "
-            "(include_kinetic=False): spectral kinetic steps ring the "
-            "damping out to the box edge"
-        )
+    steps, phases = _frozen_walk(f0, V, cfg)
     grid = f0.grid
-    tail = _check_tail(f0.values, cfg.tail_threshold, 1)
-    steps = sorted(_record_steps(cfg))
-    phases = _potential_phases(V, grid.x, f0.time, cfg.dt, steps)
-    nu = spec.nu_on_grid(grid)
-    rates = nu[:, None] ** 2 + nu[None, :] ** 2
+    rates = _decay_rates(spec, grid)
     diag = np.diag_indices(grid.n_points)
-    times, states, diags = [f0.time], [f0], [_density_diag(f0, tail)]
+    states = [f0]
     for step, d in zip(steps, phases):
         t = step * cfg.dt
-        # decay_predict's product, then the phases; the diagonal is restored
+        # decay_predict's product, then the phases; the diagonal is restored,
+        # since |d|^2 rounds
         values = f0.values * np.exp(-0.5 * t**2 * rates) * np.outer(d, d.conj())
         values[diag] = f0.values[diag]
-        times.append(f0.time + t)
-        states.append(DensityGrid(grid, values, times[-1]))
-        diags.append(_density_diag(states[-1], boundary_fraction(values)))
-    return Trajectory(times, states, diags)
+        states.append(DensityGrid(grid, values, f0.time + t))
+    diags = [_density_diag(s, boundary_fraction(s.values)) for s in states]
+    return Trajectory([s.time for s in states], states, diags)
 
 
 def decay_predict(f0: DensityGrid, spec: NoiseSpec, t: float) -> DensityGrid:
@@ -355,9 +364,7 @@ def decay_predict(f0: DensityGrid, spec: NoiseSpec, t: float) -> DensityGrid:
     f(Q, q; t) = f(Q, q; 0) exp(-t^2 [nu^2(Q) + nu^2(q)] / 2) off the
     diagonal, with t the time since f0; diagonal elements are unchanged.
     """
-    nu = spec.nu_on_grid(f0.grid)
-    factor = np.exp(-0.5 * t**2 * (nu[:, None] ** 2 + nu[None, :] ** 2))
-    np.fill_diagonal(factor, 1.0)
+    factor = np.exp(-0.5 * t**2 * _decay_rates(spec, f0.grid))
     return DensityGrid(f0.grid, f0.values * factor, f0.time + t)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,6 @@ from .evolvers import (
 )
 from .grids import save_state, xp_to_Qq
 from .potentials import (
-    Constant,
     PiecewiseLinear,
     linearize,
     segment_sum,
@@ -39,6 +38,7 @@ from .potentials import (
 )
 from .scenario import Scenario
 from .stochastic import (
+    _decay_rates,
     compare_ensemble_vs_lindblad,
     decay_predict,  # noqa: F401  kept a studies attribute: bench/lqbench/layers.py traces it
     ensemble_evolve,
@@ -106,6 +106,24 @@ def _drift_metrics(traj, engine: str) -> dict:
     }
 
 
+def _stepped_potential(scenario: Scenario):
+    """The scenario's V for the stepping engines, which take no kinked one.
+
+    A piecewise-linear V (``potential.kind = piecewise_linear`` or
+    ``potential.delta``) has a step-function force.  On the shipped
+    grids every linearity length tried made the engines abort on the
+    tail or fail the classical-vs-qq identity, so it is a ``ConfigError``.
+    """
+    v = scenario.build_potential()
+    if isinstance(v, PiecewiseLinear):
+        raise ConfigError(
+            "compare and evolve step the potential, and a piecewise-linear one "
+            "(potential.kind = piecewise_linear or potential.delta) has a "
+            "discontinuous force; segcheck, spectrum and decohere accept it"
+        )
+    return v
+
+
 def run_evolve_study(scenario: Scenario):
     """Run the scenario's ``evolve.engine`` and keep every state; no checks.
 
@@ -113,7 +131,7 @@ def run_evolve_study(scenario: Scenario):
     times; the curves hold the states as ``snapshot_NNNN`` snapshots.
     """
     engine = scenario["evolve.engine"]
-    v = scenario.build_potential()
+    v = _stepped_potential(scenario)
     cfg = scenario.build_evolver_config()
     if engine == "classical":
         traj = liouville_evolve_xp(scenario.build_initial_xp(), v, cfg)
@@ -155,7 +173,7 @@ def run_equivalence_study(scenario: Scenario):
     before the engines run.
     """
     grid = scenario.build_grid()
-    v = scenario.build_potential()
+    v = _stepped_potential(scenario)
     cfg = scenario.build_evolver_config()
     f0_xp = scenario.build_initial_xp()
     f0_qq = xp_to_Qq(f0_xp)
@@ -264,8 +282,9 @@ def run_decoherence_study(scenario: Scenario):
     its potential phases leave ``decay_predict``'s magnitudes unchanged.
     """
     grid = scenario.build_grid()
-    v = scenario.build_potential() if scenario["potential.kind"] else Constant(0.0)
-    cfg = scenario.build_evolver_config()
+    v = scenario.build_potential()
+    # both closed forms need transport frozen (stochastic._frozen_walk)
+    cfg = replace(scenario.build_evolver_config(), include_kinetic=False)
     spec = scenario.build_noise_spec()
     M = scenario["ensemble.realizations"]
     f0 = scenario.build_initial_density()
@@ -284,7 +303,7 @@ def run_decoherence_study(scenario: Scenario):
     report.metrics["comparison_exceed_fraction"] = comparison["exceed_fraction"]
     report.add_check("ensemble_vs_stepper", float(comparison["pass"]), 1.0, ">=")
 
-    nu = spec.nu_on_grid(grid)
+    rates = _decay_rates(spec, grid)
     times = np.asarray(ensemble.times[1:])
     tables = {}
     for idx, (i, j) in enumerate(probes):
@@ -292,9 +311,8 @@ def run_decoherence_study(scenario: Scenario):
         mags = np.array(
             [abs(s.values[i, j]) for s in ensemble.mean_states[1:]]
         )
-        # decay_predict at the probe alone: the diagonal does not decay
-        rates = 0.0 if i == j else nu[i] ** 2 + nu[j] ** 2
-        predicted = np.abs(f0.values[i, j] * np.exp(-0.5 * times**2 * rates))
+        # decay_predict at the probe alone
+        predicted = np.abs(f0.values[i, j] * np.exp(-0.5 * times**2 * rates[i, j]))
         errs = np.array([e[i, j] for e in ensemble.stderr[1:]])
         tables[f"decay_probe_{idx}"] = {
             "t": times, "abs_f": mags, "predicted": predicted, "stderr": errs
@@ -303,7 +321,7 @@ def run_decoherence_study(scenario: Scenario):
             flat = float(np.abs(mags - ref).max())
             report.add_check(f"diagonal_probe_{idx}_flat", flat, 1e-12)
             continue
-        rate = 0.5 * rates
+        rate = 0.5 * rates[i, j]
         # transport is frozen, so |<f>| = |f0| |1 + shift| for any V
         if ref > 0 and rate > 0:
             fitted = fit_decay_exponent(times, mags, ref, errs)

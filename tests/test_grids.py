@@ -281,27 +281,42 @@ def test_serialization_roundtrip(tmp_path, gaussian64, maker):
     assert loaded.axes == state.axes == axes
 
 
+def _body(edit):
+    return lambda lines: lines[:1] + edit(lines[1:])
+
+
+def _header(old, new):
+    return lambda lines: [lines[0].replace(old, new)] + lines[1:]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda rows: rows[:9],
-        lambda rows: rows + ["0,0,5.0,0.0"],
-        lambda rows: rows[:-1] + [rows[0]],
-        lambda rows: rows[:-1] + ["9,7,1.0,0.0"],
-        lambda rows: rows[:-1] + ["-1,7,1.0,0.0"],
-        lambda rows: rows[:-1] + ["7,7,1.0"],
-        lambda rows: rows[:-1] + ["7,seven,1.0,0.0"],
+        _body(lambda rows: rows[:9]),
+        _body(lambda rows: rows + ["0,0,5.0,0.0"]),
+        _body(lambda rows: rows[:-1] + [rows[0]]),
+        _body(lambda rows: rows[:-1] + ["9,7,1.0,0.0"]),
+        _body(lambda rows: rows[:-1] + ["-1,7,1.0,0.0"]),
+        _body(lambda rows: rows[:-1] + ["7,7,1.0"]),
+        _body(lambda rows: rows[:-1] + ["7,seven,1.0,0.0"]),
+        _header("L=4.0", "L=abc"),
+        _header("L=4.0", "L=inf"),
+        _header("time=0.0", "time=later"),
+        _header("time=0.0", "time=nan"),
     ],
     ids=["truncated", "padded", "cell_twice", "row_9", "row_minus_1", "three_fields",
-         "not_a_number"],
+         "not_a_number", "L_not_a_number", "L_infinite", "time_not_a_number",
+         "time_nan"],
 )
 def test_load_state_rejects_a_malformed_body(tmp_path, edit):
-    # the body must be exactly n^2 rows i,j,re,im on distinct cells of the grid
+    # the body must be exactly n^2 rows i,j,re,im on distinct cells of the
+    # grid, and the header's L and time finite numbers
     path = tmp_path / "state.csv"
     lq.save_state(DensityGrid(GridSpec(8, 4.0), np.eye(8)), path)
-    header, *rows = path.read_text().splitlines()
+    lines = path.read_text().splitlines()
     assert load_state(path).trace() == 8.0
-    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    assert edit(lines) != lines
+    path.write_text("\n".join(edit(lines)) + "\n")
     with pytest.raises(ConfigError):
         load_state(path)
 

@@ -42,7 +42,11 @@ def test_missing_required_parameter_names_the_key():
 
 
 def test_unknown_key_rejected_with_line():
-    for line, key in [("banana = 1", "banana"), ("noise.mode = quenched", "noise.mode")]:
+    for line, key in [
+        ("banana = 1", "banana"),
+        ("noise.mode = quenched", "noise.mode"),
+        ("evolve.include_kinetic = false", "evolve.include_kinetic"),
+    ]:
         with pytest.raises(ConfigError, match=f"line 2.*{re.escape(key)}"):
             parse_scenario_text(f"grid.n = 64\n{line}\n")
 
@@ -60,18 +64,16 @@ def test_parse_error_reports_line_number():
 def test_type_errors_name_the_key():
     with pytest.raises(ConfigError, match="grid.n"):
         parse_scenario_text("grid.n = 3.5\n")
-    with pytest.raises(ConfigError, match="evolve.include_kinetic"):
-        parse_scenario_text("evolve.include_kinetic = 7\n")
+    with pytest.raises(ConfigError, match="noise.seed"):
+        parse_scenario_text("noise.seed = true\n")
 
 
 def test_bare_strings_and_json_values():
     mapping = parse_scenario_text(
         'potential.kind = harmonic\nprobes = [[1, 2], [3, 4]]\n'
-        "evolve.include_kinetic = false\n"
     )
     assert mapping["potential.kind"] == "harmonic"
     assert mapping["probes"] == [[1, 2], [3, 4]]
-    assert mapping["evolve.include_kinetic"] is False
 
 
 def test_probe_bounds_checked():

@@ -297,8 +297,10 @@ def sequential_closed_form(f0, V, spec, M, cfg):
         (20, 3, _BLOCK + 37),  # seven records, gaps of 3 and a last one of 2
         (6, 6, _BLOCK + 37),  # one record: nothing to split
         (9, 1, 50),  # nine records, less than one block
+        (6, 6, 50),  # one block and one record: each thread start has no work
     ],
-    ids=["even_records", "odd_records_mixed_gaps", "one_record", "below_one_block"],
+    ids=["even_records", "odd_records_mixed_gaps", "one_record", "below_one_block",
+         "one_block_one_record"],
 )
 def test_split_records_match_the_sequential_oracle_bit_for_bit(
     cat, grid, n_steps, record_every, M
@@ -527,13 +529,6 @@ def test_ensemble_requires_two_realizations(cat):
         ensemble_evolve(cat, Constant(0.0), NoiseSpec(nu=1.0), 1, cfg)
 
 
-def test_ensemble_rejects_the_kinetic_term(cat):
-    # the white-noise factor rings out to the box edge under kinetic steps
-    cfg = EvolverConfig(dt=0.001, n_steps=1)
-    with pytest.raises(ConfigError, match="ring"):
-        ensemble_evolve(cat, Constant(0.0), NoiseSpec(nu=1.0), 2, cfg)
-
-
 def test_evolution_is_linear_in_the_state():
     # the master equations act linearly on matrix elements
     grid = GridSpec(64, 10.0)
@@ -576,11 +571,32 @@ def test_lindblad_trace_exactly_conserved(cat):
         assert diag["hermiticity_defect"] <= 1e-12
 
 
-def test_lindblad_rejects_the_kinetic_term(cat):
-    # the damping is not smooth across the diagonal: it would ring out
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        lambda f0, cfg: ensemble_evolve(f0, Constant(0.0), NoiseSpec(nu=1.0), 2, cfg),
+        lambda f0, cfg: lindblad_evolve(f0, Constant(0.0), NoiseSpec(nu=1.0), cfg),
+    ],
+    ids=["ensemble", "lindblad"],
+)
+def test_closed_forms_reject_the_kinetic_term(cat, closed_form):
+    # neither noise factor is smooth, so kinetic steps would ring it out
     cfg = EvolverConfig(dt=0.001, n_steps=1)
-    with pytest.raises(ConfigError, match="ring"):
-        lindblad_evolve(cat, Constant(0.0), NoiseSpec(1.0), cfg)
+    with pytest.raises(ConfigError) as err:
+        closed_form(cat, cfg)
+    assert str(err.value) == (
+        "the closed forms need the kinetic term off (include_kinetic=False): "
+        "spectral kinetic steps ring the noise factor out to the box edge"
+    )
+
+
+def test_lindblad_non_finite_potential_phase_is_domain_error(cat):
+    # raised bare by the walk, before any state is built
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2, include_kinetic=False)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        DomainError, match="potential phase is not finite"
+    ):
+        lindblad_evolve(cat, Constant(np.inf), NoiseSpec(nu=1.0), cfg)
 
 
 def test_lindblad_records_tail_without_abort():

@@ -67,7 +67,6 @@ state.sigma_x = 0.7
 evolve.dt = 0.05
 evolve.t_final = 1.0
 evolve.record_every = 4
-evolve.include_kinetic = false
 noise.nu0 = 1.0
 noise.seed = 42
 ensemble.realizations = 400
@@ -609,16 +608,53 @@ def test_cli_seed_rejected_where_unused(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_decohere_with_the_kinetic_term_is_config_error(tmp_path, capsys):
-    # noisy ensembles run with transport frozen; the message names the ringing
-    text = CAT.replace("evolve.include_kinetic = false", "evolve.include_kinetic = true")
-    assert text != CAT
+def test_cli_decohere_with_the_retired_kinetic_key_is_config_error(tmp_path, capsys):
+    # the decoherence study freezes transport itself, so no scenario key sets it
+    text = CAT + "evolve.include_kinetic = false\n"
     rc = main(["decohere", "--scenario", write(tmp_path, text),
                "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err
-    assert "ring" in err
+    assert "evolve.include_kinetic" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_decohere_without_a_potential_is_config_error(tmp_path, capsys):
+    # decohere builds V like every other study: no silent zero potential
+    text = CAT.replace("potential.kind = constant\npotential.params.c = 0.0\n", "")
+    assert text != CAT
+    rc = main(["decohere", "--scenario", write(tmp_path, text),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "potential.kind is required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+KINKED = {
+    "piecewise_linear": HARMONIC.replace(
+        "potential.kind = harmonic\npotential.params.omega = 1.0",
+        "potential.kind = piecewise_linear\n"
+        "potential.breakpoints = [-8.0, 0.0, 8.0]\npotential.values = [32.0, 0.0, 32.0]",
+    ),
+    "delta": HARMONIC + "potential.delta = 0.25\n",
+}
+
+
+@pytest.mark.parametrize("spelling", list(KINKED))
+@pytest.mark.parametrize("command", ["compare", "evolve"])
+def test_cli_stepping_a_piecewise_linear_potential_is_config_error(
+    tmp_path, capsys, command, spelling
+):
+    # its force is a step function, which no stepping run on the shipped
+    # grids survived; segcheck and spectrum step nothing and accept it
+    assert KINKED[spelling] != HARMONIC
+    rc = main([command, "--scenario", write(tmp_path, KINKED[spelling]),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    assert "discontinuous force" in err
     assert not (tmp_path / "out").exists()
 
 

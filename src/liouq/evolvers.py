@@ -27,9 +27,9 @@ exp(-i dt [k^2(Q) - k^2(q)] / 4), which agrees with the classical one
 mode by mode under the shear, so for potentials of at most quadratic
 order the classical and density evolutions coincide to rounding.
 
-The kernel warns with ``TimeStepWarning`` when the kinetic factor is on
-and dt exceeds the spectral-phase guard.  The boundary tail monitor
-aborts with ``BoundaryContaminationError`` above ``tail_threshold``.
+The kernel warns with ``TimeStepWarning`` when dt exceeds the
+spectral-phase guard, and its boundary tail monitor aborts with
+``BoundaryContaminationError`` above ``tail_threshold``.
 A fused step holds position space only where the pointwise factor acts,
 half a kinetic step short of the full step, so the monitor watches there
 every step; at a record, and so at the final step, it reads the
@@ -46,7 +46,7 @@ and the aborts, their steps and fractions are those of an exact read on
 every step.
 
 A density-grid run whose step is one fixed unitary, rho -> U rho U^H
-(the kinetic term on, a static V and no extra term, as for
+(a static V and no extra term, as for
 ``von_neumann_evolve`` with a static V and ``qq_liouville_evolve`` with
 E identically zero), and whose records are at least two steps apart,
 skips the FFTs: ``_dense_density`` builds U^m once per record gap and
@@ -114,16 +114,14 @@ class TimeStepWarning(UserWarning):
 class EvolverConfig:
     """Stepping parameters shared by all engines.
 
-    ``include_kinetic=False`` freezes the kinetic factor.  The two
-    closed forms in ``stochastic`` require it (``stochastic._frozen_walk``
-    says why), and the decoherence study sets it; no scenario key does.
+    The stepping engines always carry the kinetic term and the closed
+    forms in ``stochastic`` never do, so no field selects it.
     """
 
     dt: float
     n_steps: int
     record_every: int = 1
     tail_threshold: float = 1e-10
-    include_kinetic: bool = True
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -134,6 +132,11 @@ class EvolverConfig:
             raise ConfigError("record_every must be at least 1")
         if not self.tail_threshold > 0:
             raise ConfigError("tail_threshold must be positive")
+
+    @property
+    def include_kinetic(self) -> bool:
+        """Always True; kept while bench/lqbench/workloads.py reads it."""
+        return True
 
 
 @dataclass
@@ -153,7 +156,7 @@ class Trajectory:
 
 def _check_dt_guard(cfg: EvolverConfig, grid: GridSpec) -> None:
     guard = 0.1 * grid.spacing**2
-    if cfg.include_kinetic and cfg.dt > guard:
+    if cfg.dt > guard:
         # name the innermost caller outside this package, at any engine depth
         frame, level = sys._getframe(1), 2
         while frame.f_globals.get("__name__", "").startswith(__package__ + "."):
@@ -266,10 +269,10 @@ def _ifft2(work: np.ndarray) -> None:
 def _strang(f0, work, cfg, kin_half, phase, snapshot, diag) -> Trajectory:
     """Run ``cfg.n_steps`` Strang steps on ``work`` and record a trajectory.
 
-    ``kin_half`` is the spectral half-step factor, or None to freeze the
-    kinetic term.  ``phase(work, step)`` applies step ``step``'s
-    pointwise factor to ``work`` in place.  ``snapshot(work, t)`` builds
-    the recorded state and ``diag(state, tail)`` its diagnostics.
+    ``kin_half`` is the spectral half-step factor.  ``phase(work, step)``
+    applies step ``step``'s pointwise factor to ``work`` in place.
+    ``snapshot(work, t)`` builds the recorded state and
+    ``diag(state, tail)`` its diagnostics.
 
     Adjacent kinetic half-steps are fused (K½ V K½ · K½ V K½ =
     K½ V K V K½): the state stays in Fourier space between pointwise
@@ -283,10 +286,10 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag) -> Trajectory:
 
     The tail monitor aborts the run once the boundary fraction exceeds
     ``cfg.tail_threshold``.  It watches, every step, the position-space
-    array the pointwise factor acted on: the full-step state when the
-    kinetic term is frozen, otherwise half a kinetic step short of it,
-    the only position-space array a fused step holds.  Between records it reads
-    the boundary frame alone (4n cells), and the exact fraction (a pass
+    array the pointwise factor acted on, half a kinetic step short of
+    the full-step state, the only position-space array a fused step
+    holds.  Between records it reads the boundary frame alone (4n
+    cells), and the exact fraction (a pass
     over all n² cells) only where the frame could mean an abort.  This
     needs every factor to have unit modulus, so that the 2-norm stays
     that of the initial ``work``: the peak is at least norm / n, so a
@@ -364,10 +367,8 @@ def liouville_evolve_xp(
     """
     grid = f0.grid
     dt = cfg.dt
-    kin_half = None
-    if cfg.include_kinetic:
-        kx = grid.wavenumbers
-        kin_half = np.exp(-0.5j * dt * np.outer(kx, 0.5 * kx))
+    kx = grid.wavenumbers
+    kin_half = np.exp(-0.5j * dt * np.outer(kx, 0.5 * kx))
 
     phase = _midpoint_phase(
         lambda t: v.derivative(grid.x, t),
@@ -390,14 +391,6 @@ def liouville_evolve_xp(
 # density-grid transport
 
 
-def _density_kinetic_half(grid: GridSpec, cfg: EvolverConfig) -> np.ndarray | None:
-    """Half-step factor exp(-i dt [k^2(Q) - k^2(q)] / 4), or None if frozen."""
-    if not cfg.include_kinetic:
-        return None
-    k2 = grid.wavenumbers**2
-    return np.exp(-0.25j * cfg.dt * (k2[:, None] - k2[None, :]))
-
-
 def _density_diag(state: DensityGrid, tail: float) -> dict:
     return {
         "trace": state.trace(),
@@ -409,11 +402,12 @@ def _density_diag(state: DensityGrid, tail: float) -> dict:
 def _strang_density(f0: DensityGrid, cfg, phase) -> Trajectory:
     """``_strang`` on a density grid, with its shared kinetic factor."""
     grid = f0.grid
+    k2 = grid.wavenumbers**2
     return _strang(
         f0,
         f0.values.copy(),
         cfg,
-        _density_kinetic_half(grid, cfg),
+        np.exp(-0.25j * cfg.dt * (k2[:, None] - k2[None, :])),
         phase,
         # a copy, as DensityGrid freezes its array and ``_strang`` reuses it
         lambda work, t: DensityGrid(grid, work.copy(), t),
@@ -445,8 +439,7 @@ def _evolve_density(
     # a static step rho -> U rho U^H, with records far enough apart to pay;
     # a tail alarm on the dense path steps the whole run instead
     if (
-        cfg.include_kinetic
-        and not v.time_dependent
+        not v.time_dependent
         and not np.any(extra)
         and min(cfg.record_every, cfg.n_steps) >= _MIN_DENSE_GAP
     ):
@@ -549,10 +542,9 @@ def von_neumann_evolve(
 ) -> Trajectory:
     """Commutator-only density-grid transport (coupling field omitted).
 
-    With a static V, the kinetic term on and records at least two steps
-    apart, each step is one fixed unitary, and the run applies its powers
-    instead of stepping (see the module docstring for where the tail
-    monitor reads then).
+    With a static V and records at least two steps apart, each step is
+    one fixed unitary, and the run applies its powers instead of stepping
+    (see the module docstring for where the tail monitor reads then).
     """
     _require_hermitian(f0)
     return _evolve_density(f0, v, None, cfg)

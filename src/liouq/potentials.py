@@ -82,7 +82,10 @@ class Polynomial(Potential):
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+        try:
+            coeffs = tuple(float(c) for c in self.coeffs)
+        except (TypeError, ValueError):
+            raise ConfigError("polynomial coefficients must be numbers") from None
         if not coeffs:
             raise ConfigError("polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -134,10 +137,13 @@ class PiecewiseLinear(Potential):
     values: np.ndarray
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        try:
+            bp = np.asarray(self.breakpoints, dtype=float)
+            vals = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("breakpoints and values must be numbers") from None
         if bp.ndim != 1 or bp.size < 2:
-            raise ConfigError("need at least two breakpoints")
+            raise ConfigError("need a flat list of at least two breakpoints")
         if vals.shape != bp.shape:
             raise ConfigError("breakpoints and values must have equal length")
         if not np.all(np.diff(bp) > 0):
@@ -172,7 +178,10 @@ class PiecewiseLinear(Potential):
 
 def step_schedule(pairs: Sequence[Sequence[float]]) -> Callable[[float], float]:
     """Piecewise-constant schedule from (time, value) pairs sorted by time."""
-    table = sorted((float(t), float(v)) for t, v in pairs)
+    try:
+        table = sorted((float(t), float(v)) for t, v in pairs)
+    except (TypeError, ValueError):
+        raise ConfigError("schedule entries must be (time, value) pairs") from None
     if not table:
         raise ConfigError("schedule needs at least one (time, value) pair")
     times = np.array([t for t, _ in table])
@@ -249,22 +258,25 @@ def segment_sum(v: PiecewiseLinear, q: float, Q: float) -> float:
 def linearize(V: Potential, delta, x_range: tuple) -> PiecewiseLinear:
     """Sample V at breakpoints spaced by the linearity lengths ``delta``.
 
-    ``delta`` is either one length (uniform segments) or a sequence of
-    per-segment lengths that must cover ``x_range``.
+    ``delta`` is either one length (uniform segments) or a flat sequence
+    of per-segment lengths that must cover ``x_range``.
     """
     start, end = float(x_range[0]), float(x_range[1])
     if not end > start:
         raise DomainError("x_range must be increasing")
-    if np.ndim(delta) == 0:
-        step = float(delta)
+    try:
+        deltas = np.asarray(delta, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("delta must be a length or a flat list of lengths") from None
+    if deltas.ndim == 0:
+        step = float(deltas)
         if step <= 0:
             raise DomainError("delta must be positive")
         count = int(np.ceil((end - start) / step - 1e-12))
         bp = start + step * np.arange(count + 1)
     else:
-        deltas = np.asarray(delta, dtype=float)
-        if deltas.size == 0 or np.any(deltas <= 0):
-            raise DomainError("all linearity lengths must be positive")
+        if deltas.ndim > 1 or deltas.size == 0 or np.any(deltas <= 0):
+            raise DomainError("linearity lengths must be a flat list of positives")
         bp = start + np.concatenate(([0.0], np.cumsum(deltas)))
         if bp[-1] < end - 1e-12 * max(1.0, abs(end)):
             raise DomainError("delta list does not cover the requested range")

@@ -162,8 +162,8 @@ class Scenario:
         base = self._base_potential(kind)
         delta = self["potential.delta"]
         if delta is not None and kind != "piecewise_linear":
-            L = self["grid.L"]
-            return linearize(base, delta, (-L, L))
+            with self._bad_keys("potential", "potential.delta", "grid.L"):
+                return linearize(base, delta, (-self["grid.L"], self["grid.L"]))
         return base
 
     def _base_potential(self, kind: str) -> Potential:
@@ -179,7 +179,8 @@ class Scenario:
             a = self["potential.params.a"]
             b = self["potential.params.b"]
             if self["potential.params.a_schedule"] is not None:
-                a = step_schedule(self["potential.params.a_schedule"])
+                with self._bad_keys("potential", "potential.params.a_schedule"):
+                    a = step_schedule(self["potential.params.a_schedule"])
             if a is None:
                 raise ConfigError(
                     "potential.params.a is required for potential.kind='linear'"
@@ -190,36 +191,39 @@ class Scenario:
         if kind == "quartic":
             return Quartic(need("potential.params.lam"))
         if kind == "polynomial":
-            return Polynomial(tuple(need("potential.coeffs")))
+            coeffs = need("potential.coeffs")
+            with self._bad_keys("potential", "potential.coeffs"):
+                return Polynomial(tuple(coeffs))
         if kind == "piecewise_linear":
-            return PiecewiseLinear(
-                need("potential.breakpoints"), need("potential.values")
-            )
+            keys = ("potential.breakpoints", "potential.values")
+            breakpoints, values = (need(key) for key in keys)
+            with self._bad_keys("potential", *keys):
+                return PiecewiseLinear(breakpoints, values)
         raise ConfigError(f"unknown potential.kind {kind!r}")
 
     @contextmanager
-    def _state_keys(self, *keys):
-        """Re-raise a state constructor's DomainError as a bad value of ``keys``."""
+    def _bad_keys(self, what: str, *keys):
+        """Re-raise a constructor's error as a bad value of ``keys`` for ``what``."""
         try:
             yield
-        except DomainError as exc:
-            keys += ("grid.n", "grid.L")
+        except (ConfigError, DomainError) as exc:
             named = ", ".join(f"{key} = {self[key]}" for key in keys)
-            raise ConfigError(f"no valid initial state from {named}: {exc}") from exc
+            raise ConfigError(f"no valid {what} from {named}: {exc}") from exc
 
     def build_initial_xp(self) -> PhaseSpaceDistribution:
         if self["state.kind"] != "gaussian":
             raise ConfigError("phase-space initial states must be gaussian")
         keys = ("state.x0", "state.p0", "state.sigma_x", "state.sigma_p")
         grid = self.build_grid()
-        with self._state_keys(*keys):
+        with self._bad_keys("initial state", *keys, "grid.n", "grid.L"):
             return make_gaussian_phase_space(*(self[key] for key in keys), grid)
 
     def build_initial_density(self) -> DensityGrid:
         if self["state.kind"] == "gaussian":
             return xp_to_Qq(self.build_initial_xp())
         grid = self.build_grid()
-        with self._state_keys("state.separation", "state.sigma_x", "state.p0"):
+        keys = ("state.separation", "state.sigma_x", "state.p0")
+        with self._bad_keys("initial state", *keys, "grid.n", "grid.L"):
             return make_cat_density(
                 grid,
                 self["state.separation"],

@@ -10,10 +10,12 @@ the pure-phase evolution has the closed form
 off the diagonal, with t the time since the noise was switched on and
 diagonal elements exactly unchanged.  Noisy ensembles and the
 dissipative evolution, whose decay coefficient grows linearly in t, run
-with transport frozen, where every factor is pointwise and the factors
-commute.  So neither steps anything: ``ensemble_evolve`` averages the
-realizations in closed form, and ``lindblad_evolve`` evaluates the law
-above times V's midpoint phases.
+with transport frozen: their noise factors are not smooth (the lattice
+white noise, the damping across the diagonal), and spectral kinetic
+steps would ring them out to the box edge.  Every factor is then
+pointwise and the factors commute, so neither steps anything:
+``ensemble_evolve`` averages the realizations in closed form, and
+``lindblad_evolve`` evaluates the law above times V's midpoint phases.
 
 A noise width always comes as a ``NoiseSpec``: the profile nu(x) and
 the stream seed.  Realizations are drawn from the counter-based streams
@@ -126,23 +128,15 @@ def _potential_phases(V, x, t0, dt, steps) -> list:
 def _frozen_walk(f0: DensityGrid, V: Potential, cfg: EvolverConfig):
     """Sorted record steps and V's midpoint phases d_s there, for a closed form.
 
-    Both closed forms run with transport frozen.  Their noise factors are
-    not smooth (the lattice white noise, the damping across the
-    diagonal), and spectral kinetic steps would ring them out to the box
-    edge, so ``cfg.include_kinetic`` must be False (else ``ConfigError``).
-    Every factor is then pointwise and the factors commute, so record
-    step s is f0 times d_s(Q) conj(d_s(q)) times a noise factor, and
-    nothing is stepped.  No factor has modulus above 1, and for a
+    Both closed forms run with transport frozen (the module docstring
+    says why), so every factor is pointwise and the factors commute:
+    record step s is f0 times d_s(Q) conj(d_s(q)) times a noise factor,
+    and nothing is stepped.  No factor has modulus above 1, and for a
     Hermitian positive f0 the peak is on the diagonal, which never
     moves, so no record's tail exceeds f0's: f0's tail over the limit
     raises ``BoundaryContaminationError`` at step 1, where a stepper
     would abort.  A non-finite phase raises ``DomainError``.
     """
-    if cfg.include_kinetic:
-        raise ConfigError(
-            "the closed forms need the kinetic term off (include_kinetic=False): "
-            "spectral kinetic steps ring the noise factor out to the box edge"
-        )
     _check_tail(f0.values, cfg.tail_threshold, 1)
     steps = sorted(_record_steps(cfg))
     phases = _potential_phases(V, f0.grid.x, f0.time, cfg.dt, steps)
@@ -162,7 +156,7 @@ def _decay_rates(spec: NoiseSpec, grid: GridSpec) -> np.ndarray:
 def _closed_form_moments(f0, V, spec, M, cfg):
     """Quenched pure-phase ensemble without stepping (see ensemble_evolve).
 
-    Transport is frozen, for the reason ``_frozen_walk`` states.  With
+    Transport is frozen (see the module docstring).  With
     u_k = exp(-i t dV_k) and b_k = u_k - 1, realization k at record
     step s is f0 D w_k, where D(Q, q) = d_s(Q) conj(d_s(q)) carries V
     (``_potential_phases``) and w_k = u_k(Q) conj(u_k(q)).  Only
@@ -292,10 +286,9 @@ def ensemble_evolve(
     """Average M quenched noisy evolutions of the same initial state.
 
     Each realization evolves under V + dV_k, dV_k static over the whole
-    window, with transport frozen (``cfg.include_kinetic`` must be False,
-    for the reason ``_frozen_walk`` states).  Every step is then a pure
-    phase and the phases commute, so nothing is stepped: s steps
-    multiply f0 exactly by
+    window, with transport frozen.  Every step is then a pure phase and
+    the phases commute, so nothing is stepped: s steps multiply f0
+    exactly by
     d_s(Q) conj(d_s(q)) exp(-i s dt [dV_k(Q) - dV_k(q)]), where d_s sums
     V's midpoint phases.  ``_closed_form_moments`` forms the means and
     elementwise standard errors at every recorded time, one matrix
@@ -333,9 +326,8 @@ def lindblad_evolve(
 ) -> Trajectory:
     """Potential phases plus off-diagonal damping at rate t [nu^2(Q) + nu^2(q)].
 
-    t is the time since f0.  Transport is frozen (``cfg.include_kinetic``
-    must be False, for the reason ``_frozen_walk`` states), so record
-    step s is, in closed form, ``decay_predict(f0, spec, s dt)`` times
+    t is the time since f0.  Transport is frozen, so record step s is, in
+    closed form, ``decay_predict(f0, spec, s dt)`` times
     d_s(Q) conj(d_s(q)), with d_s V's midpoint phases as in the
     ensemble's closed form.  The diagonal keeps f0's values exactly.
     Raises ``_frozen_walk``'s errors bare: ``BoundaryContaminationError``

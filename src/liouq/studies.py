@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -283,8 +283,7 @@ def run_decoherence_study(scenario: Scenario):
     """
     grid = scenario.build_grid()
     v = scenario.build_potential()
-    # both closed forms need transport frozen (stochastic._frozen_walk)
-    cfg = replace(scenario.build_evolver_config(), include_kinetic=False)
+    cfg = scenario.build_evolver_config()
     spec = scenario.build_noise_spec()
     M = scenario["ensemble.realizations"]
     f0 = scenario.build_initial_density()

@@ -173,8 +173,7 @@ def test_criterion_7_decoherence_law():
         j = int(np.argmin(np.abs(GRID128.x + 2.0)))
 
         # quenched ensemble at t = 1; static phases are exact per step
-        cfg_ens = EvolverConfig(dt=0.05, n_steps=20, record_every=20,
-                                include_kinetic=False)
+        cfg_ens = EvolverConfig(dt=0.05, n_steps=20, record_every=20)
         rep = ensemble_evolve(cat, Constant(0.0), spec, 1000, cfg_ens)
         mean = rep.mean_states[-1].values
         stderr = rep.stderr[-1]
@@ -182,8 +181,7 @@ def test_criterion_7_decoherence_law():
         assert abs(ratio - np.exp(-1.0)) <= 3.0 * stderr[i, j] / abs(cat.values[i, j])
 
         # dissipative evolution against the decay law at t = 1
-        cfg_lin = EvolverConfig(dt=1e-3, n_steps=1000, record_every=1000,
-                                include_kinetic=False)
+        cfg_lin = EvolverConfig(dt=1e-3, n_steps=1000, record_every=1000)
         traj = lindblad_evolve(cat, Constant(0.0), spec, cfg_lin)
         predicted = decay_predict(cat, spec, 1.0)
         assert np.abs(traj.states[-1].values - predicted.values).max() <= 1e-8
@@ -198,8 +196,7 @@ def test_criterion_8_monte_carlo_convergence():
         grid = GridSpec(32, 10.0)
         cat = make_cat_density(grid, 4.0, 0.7)
         spec = NoiseSpec(nu=1.0, seed=77)
-        cfg = EvolverConfig(dt=0.1, n_steps=10, record_every=10,
-                            include_kinetic=False)
+        cfg = EvolverConfig(dt=0.1, n_steps=10, record_every=10)
         predicted = decay_predict(cat, spec, 1.0)
         sizes = (100, 1000, 10000)
         errors = []

@@ -87,16 +87,6 @@ def test_free_streaming():
     assert np.abs(final.values - g).max() <= 1e-10
 
 
-def test_frozen_kinetic_records_every_step(grid64):
-    # with no kinetic factor the force phase is applied in place; a
-    # recorded snapshot must not freeze the work array under it
-    f0 = make_gaussian_phase_space(0.5, 0.0, SIGMA, SIGMA, grid64)
-    cfg = EvolverConfig(dt=0.01, n_steps=4, record_every=1, include_kinetic=False)
-    traj = liouville_evolve_xp(f0, Harmonic(1.0), cfg)
-    assert len(traj.states) == 5
-    assert all(abs(d["mass"] - 1.0) <= 1e-12 for d in traj.diagnostics)
-
-
 def test_zero_steps_not_allowed_identity_is_trivial(grid64):
     f0 = make_gaussian_phase_space(0.0, 0.0, SIGMA, SIGMA, grid64)
     cfg = EvolverConfig(dt=1e-3, n_steps=1, record_every=1)
@@ -275,11 +265,9 @@ def _unfused_strang(f0, work, cfg, kin_half, phase, snapshot, diag):
     states: list = [f0]
     diags = [diag(f0, boundary_fraction(work))]
     for step in range(1, cfg.n_steps + 1):
-        if kin_half is not None:
-            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
+        work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
         phase(work, step)
-        if kin_half is not None:
-            work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
+        work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
         tail = evolvers._check_tail(work, cfg.tail_threshold, step)
         if step in record_at:
             t = f0.time + step * cfg.dt
@@ -298,19 +286,16 @@ def _fft2_strang(f0, work, cfg, kin_half, phase, snapshot, diag):
     times = [f0.time]
     states: list = [f0]
     diags = [diag(f0, boundary_fraction(work))]
-    if kin_half is not None:
-        kin = kin_half * kin_half
-        spec = np.fft.fft2(work) * kin_half
+    kin = kin_half * kin_half
+    spec = np.fft.fft2(work) * kin_half
     for step in range(1, cfg.n_steps + 1):
-        if kin_half is not None:
-            work = np.fft.ifft2(spec)
+        work = np.fft.ifft2(spec)
         phase(work, step)
         recorded = step in record_at
-        if kin_half is not None:
-            spec = np.fft.fft2(work)
-            if recorded:
-                work = np.fft.ifft2(spec * kin_half)
-            spec *= kin
+        spec = np.fft.fft2(work)
+        if recorded:
+            work = np.fft.ifft2(spec * kin_half)
+        spec *= kin
         tail = evolvers._check_tail(work, cfg.tail_threshold, step)
         if recorded:
             t = f0.time + step * cfg.dt
@@ -431,61 +416,50 @@ def _outcome(engine, f0, v, cfg):
 @pytest.mark.filterwarnings("ignore::liouq.evolvers.TimeStepWarning")
 def test_abort_step_and_fraction_are_the_exact_monitors(grid64, monkeypatch):
     # the setups of test_boundary_contamination_raises_with_step, all
-    # stepped, then the coupling field, a frozen kinetic term and a state
-    # whose 2-norm overflows, so that every tail-limited caller is checked
+    # stepped, then the coupling field and a state whose 2-norm
+    # overflows, so that every tail-limited caller is checked
     monkeypatch.setattr(evolvers, "_MIN_DENSE_GAP", 401)
     fast = make_gaussian_phase_space(4.0, 2.0, 0.5, 0.5, grid64)
     slow = make_gaussian_phase_space(0.0, 1.0, SIGMA, SIGMA, grid64)
     huge = lq.DensityGrid(grid64, xp_to_Qq(slow).values * 2.0**530)
-    runs = [(liouville_evolve_xp, fast, Constant(0.0), 0.01, True)]
+    runs = [(liouville_evolve_xp, fast, Constant(0.0), 0.01)]
     runs += [
-        (engine, state, v, 0.005, True)
+        (engine, state, v, 0.005)
         for engine, state in ((liouville_evolve_xp, slow),
                               (von_neumann_evolve, xp_to_Qq(slow)))
         for v in (Constant(0.0), Quartic(0.25))
     ]
     runs += [
-        (qq_liouville_evolve, xp_to_Qq(slow), Quartic(0.25), 0.005, True),
-        (von_neumann_evolve, xp_to_Qq(fast), Quartic(0.25), 0.005, False),
-        (von_neumann_evolve, huge, Quartic(0.25), 0.005, True),
+        (qq_liouville_evolve, xp_to_Qq(slow), Quartic(0.25), 0.005),
+        (von_neumann_evolve, huge, Quartic(0.25), 0.005),
     ]
-    for engine, f0, v, dt, kinetic in runs:
+    for engine, f0, v, dt in runs:
 
         def cfg(limit):
             return EvolverConfig(dt=dt, n_steps=400, record_every=400,
-                                 tail_threshold=limit, include_kinetic=kinetic)
+                                 tail_threshold=limit)
 
         tails = _oracle_tails(engine, f0, v, cfg(1.0), monkeypatch)
-        # a non-record step on the rising tail; pure phases keep |f|, so
-        # with the kinetic term frozen the tail is flat from step 1
+        # a non-record step on the rising tail
         probe = min(step for step, tail in tails.items() if tail > 1e-8)
-        assert (1 < probe or not kinetic) and probe < 400
+        assert 1 < probe < 400
         for factor in (1 - 1e-9, 1 + 1e-9, 0.75):
             limited = cfg(tails[probe] * factor)
             with monkeypatch.context() as m:
                 m.setattr(evolvers, "_strang", _fft2_strang)
                 oracle = _outcome(engine, f0, v, limited)
             assert _outcome(engine, f0, v, limited) == oracle
-            if oracle is None:  # a flat tail never crosses a limit above it
-                assert factor > 1 and not kinetic
-            else:
-                assert oracle[0] <= probe or factor > 1
+            # a rising tail crosses every limit, the one above the probe too
+            assert oracle is not None
+            assert oracle[0] <= probe or factor > 1
 
 
 def test_zero_state_and_zero_frame_never_abort(grid64):
     n = grid64.n_points
     zero = np.zeros((n, n), dtype=complex)
-    tiny = dict(dt=0.004, n_steps=20, record_every=20, tail_threshold=1e-300)
-    traj = _stepped(lq.DensityGrid(grid64, zero), Quartic(0.25), None,
-                    EvolverConfig(**tiny))
+    cfg = EvolverConfig(dt=0.004, n_steps=20, record_every=20, tail_threshold=1e-300)
+    traj = _stepped(lq.DensityGrid(grid64, zero), Quartic(0.25), None, cfg)
     assert np.array_equal(traj.states[-1].values, zero)
-    # frozen kinetic term: a pointwise phase keeps a zero frame at zero
-    framed = _packet(grid64).values.copy()
-    framed[[0, -1], :] = 0.0
-    framed[:, [0, -1]] = 0.0
-    cfg = EvolverConfig(include_kinetic=False, **tiny)
-    traj = _stepped(lq.DensityGrid(grid64, framed), Quartic(0.25), None, cfg)
-    assert [d["boundary_fraction"] for d in traj.diagnostics] == [0.0, 0.0]
 
 
 def _log_tail_reads(monkeypatch) -> tuple:
@@ -648,22 +622,17 @@ def test_dense_path_matches_stepped_kernel(grid64, monkeypatch, name, v,
     _assert_same_trajectory(traj, ref)
 
 
-@pytest.mark.parametrize(
-    "case", ["time_dependent", "coupling_field", "kinetic_off", "quenched_noise"]
-)
+@pytest.mark.parametrize("case", ["time_dependent", "coupling_field", "quenched_noise"])
 def test_stepped_inputs_keep_the_kernel(grid64, monkeypatch, case):
     # records far apart, so only the input can keep these off the dense path
-    cfg = EvolverConfig(dt=0.004, n_steps=40, record_every=20, tail_threshold=1e-2,
-                        include_kinetic=case != "kinetic_off")
+    cfg = EvolverConfig(dt=0.004, n_steps=40, record_every=20, tail_threshold=1e-2)
     rho = _packet(grid64)
     calls = _spy_strang(monkeypatch)
     if case == "time_dependent":
         von_neumann_evolve(rho, _switched_linear(), cfg)
     elif case == "coupling_field":
         qq_liouville_evolve(rho, Quartic(0.25), cfg)
-    elif case == "kinetic_off":
-        von_neumann_evolve(rho, Harmonic(1.0), cfg)
-    else:  # one quenched realization, as the ensemble's stepped test oracle runs it
+    else:  # one quenched realization's noise as the extra term
         dv = sample_noise(NoiseSpec(0.5, seed=4), grid64, 0)
         evolvers._evolve_density(rho, Harmonic(1.0), dv[:, None] - dv[None, :], cfg)
     assert len(calls) == 1

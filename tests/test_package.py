@@ -1,6 +1,8 @@
 """Package namespace and the runnable scripts in ``scripts/``."""
 
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,30 @@ def test_all_holds_no_module():
     assert liouq.__all__
     for name in liouq.__all__:
         assert not isinstance(getattr(liouq, name), ModuleType), name
+
+
+def _readme_api_section() -> str:
+    text = (ROOT / "README.md").read_text()
+    return text.split("## Python API", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_api_names_are_exported():
+    # every call in the API block, and every call quoted in its prose
+    section = _readme_api_section()
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    called = set(re.findall(r"^(\w+)\(", block, re.MULTILINE))
+    called |= set(re.findall(r"`(\w+)\(", section))
+    assert {"ensemble_evolve", "EvolverConfig", "NoiseSpec"} <= called
+    assert sorted(called - set(liouq.__all__)) == []
+
+
+def test_readme_evolver_config_signature_is_the_code():
+    printed = re.search(r"`EvolverConfig\(([^`]*)\)`", _readme_api_section())
+    params = inspect.signature(liouq.EvolverConfig).parameters.values()
+    actual = ", ".join(
+        p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in params
+    )
+    assert " ".join(printed.group(1).split()) == actual
 
 
 def run_python(*args, **env_vars):

@@ -1,5 +1,6 @@
 """Noise sampling, ensemble averaging, dissipative evolution, decay law."""
 
+import dataclasses
 import threading
 import tracemalloc
 
@@ -26,6 +27,7 @@ from liouq import (
     make_cat_density,
     qq_liouville_evolve,
     sample_noise,
+    scenario_from_text,
     step_schedule,
     von_neumann_evolve,
 )
@@ -36,7 +38,7 @@ from liouq.errors import (
     RealizationError,
 )
 from liouq import evolvers, stochastic
-from liouq.evolvers import TimeStepWarning, _evolve_density, _record_steps
+from liouq.evolvers import TimeStepWarning, _check_tail, _record_steps
 from liouq.grids import boundary_fraction
 from liouq.stochastic import _BLOCK, _phase_minus_one
 from liouq.streams import normal_rows, stream
@@ -123,7 +125,7 @@ def test_quenched_average_oracle_against_quadrature():
 
 def test_ensemble_matches_closed_form(cat, grid):
     spec = NoiseSpec(nu=1.0, seed=42)
-    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=20, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=20)
     rep = ensemble_evolve(cat, Constant(0.0), spec, 1000, cfg)
     i, j = probe_indices(grid)
     ratio = abs(rep.mean_states[-1].values[i, j]) / abs(cat.values[i, j])
@@ -133,12 +135,34 @@ def test_ensemble_matches_closed_form(cat, grid):
     assert abs(rep.mean_states[-1].values[i, i] - cat.values[i, i]) <= 1e-12
 
 
+def _frozen_steps(f0, V, extra, cfg):
+    """Step f0 with transport frozen: the closed forms' stepped oracle.
+
+    Step s multiplies by exp(-i dt [v(Q, t_s) - v(q, t_s) + extra]) at the
+    step midpoint t_s = t0 + (s - 1/2) dt, and ``evolvers._check_tail``
+    reads every full-step state.  Returns the recorded times and states;
+    a non-finite record raises ``DensityGrid``'s ``DomainError``.
+    """
+    grid, dt = f0.grid, cfg.dt
+    record_at = _record_steps(cfg)
+    work = f0.values
+    times, states = [f0.time], [f0]
+    for step in range(1, cfg.n_steps + 1):
+        vx = V.value(grid.x, f0.time + (step - 0.5) * dt)
+        work = work * np.exp(-1j * dt * (vx[:, None] - vx[None, :] + extra))
+        _check_tail(work, cfg.tail_threshold, step)
+        if step in record_at:
+            times.append(f0.time + step * dt)
+            states.append(DensityGrid(grid, work, times[-1]))
+    return times, states
+
+
 def test_ensemble_zero_noise_reduces_to_vonneumann(cat):
     spec = NoiseSpec(nu=0.0, seed=1)
-    cfg = EvolverConfig(dt=0.01, n_steps=10, record_every=10, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.01, n_steps=10, record_every=10)
     rep = ensemble_evolve(cat, Harmonic(1.0), spec, 3, cfg)
-    traj = von_neumann_evolve(cat, Harmonic(1.0), cfg)
-    assert np.abs(rep.mean_states[-1].values - traj.states[-1].values).max() <= 1e-13
+    _, states = _frozen_steps(cat, Harmonic(1.0), 0.0, cfg)
+    assert np.abs(rep.mean_states[-1].values - states[-1].values).max() <= 1e-13
 
 
 def _stepped_moments(f0, V, spec, M, cfg):
@@ -151,14 +175,13 @@ def _stepped_moments(f0, V, spec, M, cfg):
     for k in range(M):
         dv = sample_noise(spec, f0.grid, k)
         try:
-            traj = _evolve_density(f0, V, dv[:, None] - dv[None, :], cfg)
+            times, states = _frozen_steps(f0, V, dv[:, None] - dv[None, :], cfg)
         except Exception as exc:  # annotate with the realization index
             raise RealizationError(k, exc) from exc
         if mean is None:
-            times = traj.times
             mean = np.zeros((len(times),) + f0.values.shape, dtype=complex)
             m2 = np.zeros(mean.shape)
-        for i, state in enumerate(traj.states):
+        for i, state in enumerate(states):
             delta = state.values - mean[i]
             mean[i] += delta / (k + 1)
             m2[i] += (delta * np.conj(state.values - mean[i])).real
@@ -179,7 +202,7 @@ def assert_matches_stepped_oracle(cat, grid, v):
     nu = np.linspace(0.0, 1.2, grid.n_points)
     nu[::5] = 0.0  # noise-free cells: deterministic elements, zero error bars
     spec = NoiseSpec(nu=nu, seed=7)
-    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=3, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=3)
     M = _BLOCK + 37  # a full block plus a partial one
     rep = ensemble_evolve(cat, v, spec, M, cfg)
     times, mean, stderr = stepped_oracle(cat, v, spec, M, cfg)
@@ -236,7 +259,7 @@ def test_closed_form_recurrence_matches_direct_phases(cat, grid):
     # standard errors (measured)
     nu = np.linspace(0.0, 2.5, grid.n_points)
     spec = NoiseSpec(nu=nu, seed=11)
-    cfg = EvolverConfig(dt=0.025, n_steps=401, record_every=2, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.025, n_steps=401, record_every=2)
     assert len(_record_steps(cfg)) == 201
     assert cfg.n_steps * cfg.dt * nu.max() >= 20.0
     M = _BLOCK + 22
@@ -308,9 +331,7 @@ def test_split_records_match_the_sequential_oracle_bit_for_bit(
     nu = np.linspace(0.0, 1.2, grid.n_points)
     nu[::5] = 0.0
     spec = NoiseSpec(nu=nu, seed=7)
-    cfg = EvolverConfig(
-        dt=0.05, n_steps=n_steps, record_every=record_every, include_kinetic=False
-    )
+    cfg = EvolverConfig(dt=0.05, n_steps=n_steps, record_every=record_every)
     rep = ensemble_evolve(cat, Harmonic(1.0), spec, M, cfg)
     times, mean, m2 = sequential_closed_form(cat, Harmonic(1.0), spec, M, cfg)
     stderr = np.sqrt(m2 / ((M - 1) * M))
@@ -322,7 +343,7 @@ def test_split_records_match_the_sequential_oracle_bit_for_bit(
 
 @pytest.mark.parametrize("case", ["normal", "tail_alarm", "non_finite_phase"])
 def test_closed_form_leaves_no_thread(cat, monkeypatch, case):
-    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1)
     f0, M = cat, _BLOCK + 5
     if case == "tail_alarm":
         f0 = DensityGrid(cat.grid, np.ones(cat.values.shape))
@@ -361,7 +382,7 @@ def test_closed_form_raises_a_worker_error(cat, monkeypatch):
 
     beside = evolvers._beside
     monkeypatch.setattr(stochastic, "_beside", lambda job, own: beside(fail, own))
-    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="worker job"):
         ensemble_evolve(cat, Constant(0.0), NoiseSpec(nu=1.0, seed=3), 10, cfg)
@@ -370,7 +391,7 @@ def test_closed_form_raises_a_worker_error(cat, monkeypatch):
 
 def test_closed_form_rerun_is_deterministic(cat):
     spec = NoiseSpec(nu=1.0, seed=13)
-    cfg = EvolverConfig(dt=0.1, n_steps=5, record_every=1, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.1, n_steps=5, record_every=1)
     for M in (150, SPLIT_M):  # two blocks, then four: two per thread
         a = ensemble_evolve(cat, Harmonic(1.0), spec, M, cfg)
         b = ensemble_evolve(cat, Harmonic(1.0), spec, M, cfg)
@@ -386,7 +407,7 @@ def split_run(cat, grid):
     nu = np.linspace(0.0, 1.2, grid.n_points)
     nu[::5] = 0.0
     spec = NoiseSpec(nu=nu, seed=7)
-    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=1, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=1)
     return ensemble_evolve(cat, Harmonic(1.0), spec, SPLIT_M, cfg), (spec, cfg)
 
 
@@ -446,7 +467,7 @@ def test_closed_form_names_the_smallest_bad_realization(cat, monkeypatch, bad, i
         return out
 
     monkeypatch.setattr(stochastic, "normal_rows", rows)
-    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1)
     before = threading.active_count()
     with pytest.raises(RealizationError) as err:
         ensemble_evolve(cat, Constant(0.0), NoiseSpec(nu=1.0, seed=3), 6 * _BLOCK, cfg)
@@ -465,7 +486,7 @@ def test_closed_form_keeps_its_sums_in_the_means_buffer():
     # at n = 64 and 100 records (measured); one more sums array adds 1x
     grid = GridSpec(64, 10.0)
     cat = make_cat_density(grid, 4.0, 0.7)
-    cfg = EvolverConfig(dt=0.01, n_steps=100, record_every=1, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.01, n_steps=100, record_every=1)
     spec = NoiseSpec(nu=1.0, seed=3)
     means_bytes = 101 * grid.n_points**2 * 16
     tracemalloc.start()
@@ -490,7 +511,7 @@ def test_closed_form_keeps_its_sums_in_the_means_buffer():
 )
 def test_closed_form_errors_match_stepped_oracle(f0, V, cause):
     spec = NoiseSpec(nu=1.0, seed=3)
-    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2)
     errors = []
     for run in (
         lambda: ensemble_evolve(f0, V, spec, 5, cfg),
@@ -517,14 +538,14 @@ def test_closed_form_raises_without_stepping(f0, V, monkeypatch):
     # the closed form is the only ensemble path: it raises its own errors
     calls = []
     monkeypatch.setattr(evolvers, "_strang", lambda *args: calls.append(args))
-    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2)
     with np.errstate(invalid="ignore"), pytest.raises(RealizationError):
         ensemble_evolve(f0, V, NoiseSpec(nu=1.0, seed=3), 5, cfg)
     assert calls == []
 
 
 def test_ensemble_requires_two_realizations(cat):
-    cfg = EvolverConfig(dt=0.1, n_steps=1, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.1, n_steps=1)
     with pytest.raises(ConfigError, match="M >= 2"):
         ensemble_evolve(cat, Constant(0.0), NoiseSpec(nu=1.0), 1, cfg)
 
@@ -543,7 +564,6 @@ def test_evolution_is_linear_in_the_state():
         + 0.7 * von_neumann_evolve(f2, v, cfg).states[-1].values
     )
     assert np.abs(out_mix - out_sep).max() <= 1e-12
-    cfg = EvolverConfig(dt=0.008, n_steps=15, record_every=15, include_kinetic=False)
     out_mix_l = lindblad_evolve(mix, v, NoiseSpec(1.0), cfg).states[-1].values
     out_sep_l = (
         0.3 * lindblad_evolve(f1, v, NoiseSpec(1.0), cfg).states[-1].values
@@ -553,8 +573,7 @@ def test_evolution_is_linear_in_the_state():
 
 
 def test_lindblad_matches_closed_form_without_transport(cat, grid):
-    cfg = EvolverConfig(dt=1e-3, n_steps=1000, record_every=1000,
-                        include_kinetic=False)
+    cfg = EvolverConfig(dt=1e-3, n_steps=1000, record_every=1000)
     traj = lindblad_evolve(cat, Constant(0.0), NoiseSpec(1.0), cfg)
     predicted = decay_predict(cat, NoiseSpec(1.0), 1.0)
     assert np.abs(traj.states[-1].values - predicted.values).max() <= 1e-8
@@ -563,36 +582,39 @@ def test_lindblad_matches_closed_form_without_transport(cat, grid):
 
 
 def test_lindblad_trace_exactly_conserved(cat):
-    cfg = EvolverConfig(dt=0.01, n_steps=100, record_every=25,
-                        include_kinetic=False)
+    cfg = EvolverConfig(dt=0.01, n_steps=100, record_every=25)
     traj = lindblad_evolve(cat, Constant(0.0), NoiseSpec(2.0), cfg)
     for diag in traj.diagnostics:
         assert abs(diag["trace"].real - 1.0) <= 1e-12
         assert diag["hermiticity_defect"] <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "closed_form",
-    [
-        lambda f0, cfg: ensemble_evolve(f0, Constant(0.0), NoiseSpec(nu=1.0), 2, cfg),
-        lambda f0, cfg: lindblad_evolve(f0, Constant(0.0), NoiseSpec(nu=1.0), cfg),
-    ],
-    ids=["ensemble", "lindblad"],
-)
-def test_closed_forms_reject_the_kinetic_term(cat, closed_form):
-    # neither noise factor is smooth, so kinetic steps would ring it out
-    cfg = EvolverConfig(dt=0.001, n_steps=1)
-    with pytest.raises(ConfigError) as err:
-        closed_form(cat, cfg)
-    assert str(err.value) == (
-        "the closed forms need the kinetic term off (include_kinetic=False): "
-        "spectral kinetic steps ring the noise factor out to the box edge"
+def test_transport_is_not_a_setting():
+    # the stepping engines always stream and the closed forms never do, so
+    # no field selects it and a scenario's config feeds the closed forms as is
+    assert [f.name for f in dataclasses.fields(EvolverConfig)] == [
+        "dt", "n_steps", "record_every", "tail_threshold"
+    ]
+    with pytest.raises(TypeError):
+        EvolverConfig(dt=0.1, n_steps=1, include_kinetic=False)
+    scenario = scenario_from_text(
+        "grid.n = 32\npotential.kind = constant\nstate.kind = cat\n"
+        "state.sigma_x = 0.7\nevolve.dt = 0.05\nevolve.t_final = 0.2\n"
+        "ensemble.realizations = 2\n"
     )
+    cfg = scenario.build_evolver_config()
+    assert cfg.include_kinetic is True  # the benchmark's read
+    f0, v = scenario.build_initial_density(), scenario.build_potential()
+    spec = scenario.build_noise_spec()
+    rep = ensemble_evolve(f0, v, spec, 2, cfg)
+    traj = lindblad_evolve(f0, v, spec, cfg)
+    assert rep.times == traj.times
+    assert len(traj.times) == 5
 
 
 def test_lindblad_non_finite_potential_phase_is_domain_error(cat):
     # raised bare by the walk, before any state is built
-    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2)
     with np.errstate(invalid="ignore"), pytest.raises(
         DomainError, match="potential phase is not finite"
     ):
@@ -603,7 +625,7 @@ def test_lindblad_records_tail_without_abort():
     # for a Hermitian positive f0 the peak stays on the diagonal and no
     # factor off it exceeds modulus one, so no record's tail exceeds f0's
     cat = make_cat_density(GridSpec(64, 10.0), 4.0, 0.7)
-    cfg = EvolverConfig(dt=0.008, n_steps=15, record_every=5, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.008, n_steps=15, record_every=5)
     traj = lindblad_evolve(cat, Harmonic(1.0), NoiseSpec(1.0), cfg)
     tails = [d["boundary_fraction"] for d in traj.diagnostics]
     assert len(tails) == 4
@@ -618,16 +640,16 @@ def test_lindblad_records_tail_without_abort():
 )
 def test_lindblad_zero_noise_is_vonneumann(v):
     cat = make_cat_density(GridSpec(48, 10.0), 4.0, 0.7)
-    cfg = EvolverConfig(dt=0.01, n_steps=20, record_every=20, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.01, n_steps=20, record_every=20)
     a = lindblad_evolve(cat, v, NoiseSpec(0.0), cfg)
-    b = von_neumann_evolve(cat, v, cfg)
-    assert np.abs(a.states[-1].values - b.states[-1].values).max() <= 1e-12
+    _, b = _frozen_steps(cat, v, 0.0, cfg)
+    assert np.abs(a.states[-1].values - b[-1].values).max() <= 1e-12
 
 
-def _stepped_lindblad(f0, V, spec, cfg):
+def _stepped_lindblad(f0, V, spec, cfg, kinetic):
     """Strang-stepped dissipative evolution: the closed form's test oracle.
 
-    Per step: kinetic half-step (if on), V's phase and the damping
+    Per step: kinetic half-step (if ``kinetic``), V's phase and the damping
     exp(-tau dt [nu^2(Q) + nu^2(q)]) off the diagonal, both at the step
     midpoint, with tau = (s - 1/2) dt the time elapsed since f0, then the
     second kinetic half-step.  The midpoint rates sum to t^2 / 2 exactly.
@@ -643,12 +665,12 @@ def _stepped_lindblad(f0, V, spec, cfg):
     work = f0.values.copy()
     times, states = [f0.time], [f0.values]
     for step in range(1, cfg.n_steps + 1):
-        if cfg.include_kinetic:
+        if kinetic:
             work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
         vx = V.value(grid.x, f0.time + (step - 0.5) * dt)
         work = work * np.exp(-1j * dt * (vx[:, None] - vx[None, :]))
         work = work * np.exp(-((step - 0.5) * dt) * dt * rates)
-        if cfg.include_kinetic:
+        if kinetic:
             work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
         if step in record_at:
             times.append(f0.time + step * cfg.dt)
@@ -674,9 +696,9 @@ def test_lindblad_matches_stepped_oracle(grid, v, t0):
     nu = np.linspace(0.0, 1.2, grid.n_points)
     nu[::5] = 0.0  # undamped cells
     spec = NoiseSpec(nu)
-    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=3, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=3)
     traj = lindblad_evolve(f0, v, spec, cfg)
-    times, states = _stepped_lindblad(f0, v, spec, cfg)
+    times, states = _stepped_lindblad(f0, v, spec, cfg, kinetic=False)
     assert traj.times == times
     peak = np.abs(f0.values).max()
     for state, ref, d in zip(traj.states, states, traj.diagnostics):
@@ -700,7 +722,7 @@ def test_lindblad_damping_clock_starts_at_f0(grid):
     cat = make_cat_density(grid, 4.0, 0.7)
     f0 = DensityGrid(grid, cat.values, 1.0)
     spec = NoiseSpec(nu=1.0, seed=5)
-    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=5, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.05, n_steps=20, record_every=5)
     traj = lindblad_evolve(f0, Constant(0.0), spec, cfg)
     predicted = decay_predict(f0, spec, 1.0)
     assert traj.times[-1] == predicted.time == 2.0
@@ -710,11 +732,11 @@ def test_lindblad_damping_clock_starts_at_f0(grid):
 
 
 def test_zero_noise_ensemble_follows_time_dependent_potential(cat):
-    cfg = EvolverConfig(dt=0.01, n_steps=20, record_every=20, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.01, n_steps=20, record_every=20)
     v = switched_force()
     rep = ensemble_evolve(cat, v, NoiseSpec(nu=0.0, seed=1), 2, cfg)
-    traj = von_neumann_evolve(cat, v, cfg)
-    assert np.abs(rep.mean_states[-1].values - traj.states[-1].values).max() <= 1e-12
+    _, states = _frozen_steps(cat, v, 0.0, cfg)
+    assert np.abs(rep.mean_states[-1].values - states[-1].values).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -767,7 +789,7 @@ def test_decay_magnitudes_never_increase(t):
 
 def test_compare_pass_for_quenched_window(cat, grid):
     spec = NoiseSpec(nu=1.0, seed=11)
-    cfg = EvolverConfig(dt=0.1, n_steps=20, record_every=5, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.1, n_steps=20, record_every=5)
     rep = ensemble_evolve(cat, Constant(0.0), spec, 400, cfg)
     traj = lindblad_evolve(cat, Constant(0.0), spec, cfg)
     result = compare_ensemble_vs_lindblad(rep, traj, spec)
@@ -776,7 +798,7 @@ def test_compare_pass_for_quenched_window(cat, grid):
 
 def test_compare_zero_noise_differences_vanish(cat):
     spec = NoiseSpec(nu=0.0, seed=2)
-    cfg = EvolverConfig(dt=0.05, n_steps=10, record_every=5, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.05, n_steps=10, record_every=5)
     rep = ensemble_evolve(cat, Constant(0.0), spec, 3, cfg)
     traj = lindblad_evolve(cat, Constant(0.0), spec, cfg)
     assert len(rep.mean_states) == len(traj.states)
@@ -787,7 +809,7 @@ def test_compare_zero_noise_differences_vanish(cat):
 
 def test_compare_rejects_mismatched_grids(cat):
     spec = NoiseSpec(nu=1.0, seed=2)
-    cfg = EvolverConfig(dt=0.1, n_steps=2, record_every=1, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.1, n_steps=2, record_every=1)
     rep = ensemble_evolve(cat, Constant(0.0), spec, 4, cfg)
     other = make_cat_density(GridSpec(16, 10.0), 4.0, 0.7)
     traj = lindblad_evolve(other, Constant(0.0), spec, cfg)
@@ -797,11 +819,11 @@ def test_compare_rejects_mismatched_grids(cat):
 
 def test_compare_rejects_mismatched_records(cat):
     spec = NoiseSpec(nu=1.0, seed=2)
-    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2)
     rep = ensemble_evolve(cat, Constant(0.0), spec, 4, cfg)
     for other in (
-        EvolverConfig(dt=0.1, n_steps=4, record_every=1, include_kinetic=False),
-        EvolverConfig(dt=0.15, n_steps=2, record_every=1, include_kinetic=False),
+        EvolverConfig(dt=0.1, n_steps=4, record_every=1),
+        EvolverConfig(dt=0.15, n_steps=2, record_every=1),
     ):
         traj = lindblad_evolve(cat, Constant(0.0), spec, other)
         with pytest.raises(ConfigError):
@@ -812,7 +834,7 @@ def test_monte_carlo_convergence_rate(grid):
     # quenched mean error vs the closed form shrinks like 1/sqrt(M)
     cat = make_cat_density(grid, 4.0, 0.7)
     spec = NoiseSpec(nu=1.0, seed=77)
-    cfg = EvolverConfig(dt=0.1, n_steps=10, record_every=10, include_kinetic=False)
+    cfg = EvolverConfig(dt=0.1, n_steps=10, record_every=10)
     predicted = decay_predict(cat, spec, 1.0)
     errors = []
     for m in (100, 1000):
@@ -859,7 +881,9 @@ def test_short_time_consistency_third_order():
         n_steps = max(2, int(round(t / 0.00125)))
         cfg = EvolverConfig(dt=t / n_steps, n_steps=n_steps,
                             record_every=n_steps, tail_threshold=1.0)
-        _, stepped = _stepped_lindblad(f0, Constant(0.0), NoiseSpec(nu_profile), cfg)
+        _, stepped = _stepped_lindblad(
+            f0, Constant(0.0), NoiseSpec(nu_profile), cfg, kinetic=True
+        )
         diffs.append(np.abs(exact_average(t, n_steps) - stepped[-1]).max())
     growth = diffs[1] / diffs[0]
     assert 27.0 * 0.5 <= growth <= 27.0 * 1.5
@@ -871,9 +895,7 @@ def corner_packet(grid):
     return DensityGrid(grid, np.roll(packet, (half, half), axis=(0, 1)))
 
 
-CORNER_CFG = EvolverConfig(
-    dt=0.01, n_steps=400, record_every=400, include_kinetic=False
-)
+CORNER_CFG = EvolverConfig(dt=0.01, n_steps=400, record_every=400)
 
 
 def test_realization_error_carries_index(grid):

@@ -548,6 +548,56 @@ def test_cli_state_that_does_not_fit_is_config_error(tmp_path, capsys, command, 
                      "--out", str(tmp_path / "specout")]) == 0
 
 
+def _potential(kind_lines: str, extra: str = "") -> str:
+    return HARMONIC.replace(
+        "potential.kind = harmonic\npotential.params.omega = 1.0", kind_lines
+    ) + extra
+
+
+LINEAR = "potential.kind = linear\npotential.params.a = 1.0"
+PIECEWISE = "potential.kind = piecewise_linear"
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("compare", _potential(LINEAR, "potential.params.a_schedule = [[0.0]]\n"),
+         "potential.params.a_schedule"),
+        ("compare", _potential(LINEAR, "potential.params.a_schedule = [1.0, 2.0]\n"),
+         "potential.params.a_schedule"),
+        ("compare", _potential(LINEAR, "potential.params.a_schedule = []\n"),
+         "potential.params.a_schedule"),
+        ("compare", _potential("potential.kind = polynomial",
+                               "potential.coeffs = [[1.0], 2.0]\n"), "potential.coeffs"),
+        ("compare", _potential("potential.kind = polynomial", "potential.coeffs = []\n"),
+         "potential.coeffs"),
+        ("segcheck", HARMONIC + "potential.delta = -1.0\n", "potential.delta"),
+        ("segcheck", HARMONIC + "potential.delta = [[0.5, 0.5]]\n", "potential.delta"),
+        ("segcheck", HARMONIC + "potential.delta = [[8.0, 8.0]]\n", "potential.delta"),
+        ("segcheck", HARMONIC + "potential.delta = [[0.5], 0.5]\n", "potential.delta"),
+        ("segcheck", _potential(PIECEWISE, "potential.breakpoints = [[-8.0], 0.0, 8.0]\n"
+                                "potential.values = [1.0, 0.0, 1.0]\n"),
+         "potential.breakpoints"),
+        ("segcheck", _potential(PIECEWISE, "potential.breakpoints = [[-8.0, 0.0, 8.0]]\n"
+                                "potential.values = [[1.0, 0.0, 1.0]]\n"),
+         "potential.breakpoints"),
+    ],
+    ids=["schedule_entry_short", "schedule_entry_scalar", "schedule_empty",
+         "coeff_list", "coeffs_empty", "delta_negative", "delta_short_nested",
+         "delta_covering_nested", "delta_ragged", "breakpoints_ragged",
+         "breakpoints_nested"],
+)
+def test_cli_malformed_potential_is_config_error(tmp_path, capsys, command, text, key):
+    # caught at scenario load, before any study starts
+    rc = main([command, "--scenario", write(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: no valid potential from" in err
+    assert key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # a quartic run whose packet reaches the box edge within a few steps
 EDGE_BOUND = """
 grid.n = 64

@@ -313,26 +313,22 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag) -> Trajectory:
     frame_bound = 0.0
     if np.isfinite(norm):
         frame_bound = 0.5 * limit * norm / np.sqrt(work.size)
-    full = work
-    if kin_half is not None:
-        kin = kin_half * kin_half
-        full = np.empty_like(work)
-        _fft2(work)
-        work *= kin_half
+    kin = kin_half * kin_half
+    full = np.empty_like(work)
+    _fft2(work)
+    work *= kin_half
     for step in range(1, cfg.n_steps + 1):
-        if kin_half is not None:
-            _ifft2(work)
+        _ifft2(work)
         phase(work, step)
         recorded = step in record_at
         # ``not <=``, so that a NaN frame takes the exact read
         if not recorded and not boundary_frame(work) <= frame_bound:
             _check_tail(work, limit, step)
-        if kin_half is not None:
-            _fft2(work)
-            if recorded:
-                np.multiply(work, kin_half, out=full)
-                _ifft2(full)
-            work *= kin
+        _fft2(work)
+        if recorded:
+            np.multiply(work, kin_half, out=full)
+            _ifft2(full)
+        work *= kin
         if recorded:
             tail = _check_tail(full, limit, step)
             _check_stop(stop_event)

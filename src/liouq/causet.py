@@ -63,12 +63,12 @@ class SprinkleRegion:
     rho: float = 1.0
 
     def __post_init__(self):
-        if not self.dr > 0:
-            raise ConfigError("dr must be positive")
-        if not self.duration > 0:
-            raise ConfigError("duration must be positive")
-        if not self.rho > 0:
-            raise ConfigError("rho must be positive")
+        if not 0 < self.dr < math.inf:
+            raise ConfigError("dr must be positive and finite")
+        if not 0 < self.duration < math.inf:
+            raise ConfigError("duration must be positive and finite")
+        if not 0 < self.rho < math.inf:
+            raise ConfigError("rho must be positive and finite")
         if self.geometry not in _GEOMETRIES:
             raise ConfigError(f"unknown geometry {self.geometry!r}")
 

@@ -63,11 +63,9 @@ peak after 6000 steps).
 Two studies run a job on a second thread through ``_beside``, which
 starts one thread per call and joins it before it returns: the
 equivalence study steps the classical engine there, and the quenched
-closed form in ``stochastic`` sums every other block there.  A job that
-fails sets a stop event that ``_strang`` polls at records and
-``_dense_density`` at its stops, through a context variable the caller's
-thread alone sees, so the engines on the caller's thread end there; the
-job's error is raised.
+closed form in ``stochastic`` sums every other block there.  A failure
+on either thread does not cut the other short; once both have ended,
+the job's error is raised in preference to the caller's.
 
 Every unitary factor has unit modulus: the 2-norm is conserved exactly,
 the trace of the density grid is conserved because the spectral factor
@@ -78,7 +76,6 @@ of both factors.
 
 from __future__ import annotations
 
-import contextvars
 import sys
 import threading
 import warnings
@@ -124,8 +121,8 @@ class EvolverConfig:
     tail_threshold: float = 1e-10
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ConfigError("dt must be positive and finite")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be at least 1")
         if self.record_every < 1:
@@ -186,30 +183,15 @@ def _record_steps(cfg: EvolverConfig) -> set:
 # ---------------------------------------------------------------------------
 # one job on a second thread beside the caller
 
-_STOP: contextvars.ContextVar = contextvars.ContextVar("liouq_stop", default=None)
-
-
-class _Stopped(Exception):
-    """The worker failed, so an engine on the caller's thread ends early."""
-
-
-def _check_stop(stop_event: threading.Event | None) -> None:
-    if stop_event is not None and stop_event.is_set():
-        raise _Stopped
-
-
 def _beside(job, own):
     """``(job(), own())``, with ``job`` on one new thread beside the caller's.
 
-    ``own`` runs on the caller's thread with ``_STOP`` set to an event
-    that a failing ``job`` sets, so the engines there end at their next
-    poll (``_strang`` at records, ``_dense_density`` at its stops).  The
-    thread is joined on every path.  A job error is raised in preference
-    to one of ``own``, as in a sequential run that calls ``job`` first.
-    The job runs in the thread's own context, so under numpy's default
-    ``errstate``.
+    ``own`` runs on the caller's thread while ``job`` runs; neither is
+    cut short when the other fails.  The thread is joined on every path,
+    and a job error is raised in preference to one of ``own``, as in a
+    sequential run that calls ``job`` first.  The job runs in the
+    thread's own context, so under numpy's default ``errstate``.
     """
-    stop = threading.Event()
     done: dict = {}
 
     def run() -> None:
@@ -217,15 +199,12 @@ def _beside(job, own):
             done["result"] = job()
         except BaseException as exc:  # raised again on the caller's thread
             done["error"] = exc
-            stop.set()
 
     thread = threading.Thread(target=run, name="liouq-worker")
     thread.start()
-    token = _STOP.set(stop)
     try:
         mine = own()
     finally:
-        _STOP.reset(token)
         thread.join()
         if "error" in done:
             raise done["error"] from None
@@ -302,7 +281,6 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag) -> Trajectory:
     the limit.
     """
     _check_dt_guard(cfg, f0.grid)
-    stop_event = _STOP.get()
     record_at = _record_steps(cfg)
     times = [f0.time]
     states: list = [f0]
@@ -331,7 +309,6 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag) -> Trajectory:
         work *= kin
         if recorded:
             tail = _check_tail(full, limit, step)
-            _check_stop(stop_event)
             t = f0.time + step * cfg.dt
             state = snapshot(full, t)
             times.append(t)
@@ -487,7 +464,6 @@ def _dense_density(
     potential = np.exp(-1j * dt * v.value(grid.x, f0.time + 0.5 * dt))
     step = kin_half @ (potential[:, None] * kin_half)
     powers: dict = {}
-    stop_event = _STOP.get()
     record_at = _record_steps(cfg)
     work = f0.values
     times = [f0.time]
@@ -499,7 +475,6 @@ def _dense_density(
             powers[stop - done] = np.linalg.matrix_power(step, stop - done)
         um = powers[stop - done]
         work, done = um @ work @ um.conj().T, stop
-        _check_stop(stop_event)
         tail = boundary_fraction(work)
         if tail > cfg.tail_threshold:
             return None

@@ -40,7 +40,6 @@ from .scenario import Scenario
 from .stochastic import (
     _decay_rates,
     compare_ensemble_vs_lindblad,
-    decay_predict,  # noqa: F401  kept a studies attribute: bench/lqbench/layers.py traces it
     ensemble_evolve,
     lindblad_evolve,
 )
@@ -166,11 +165,11 @@ def run_equivalence_study(scenario: Scenario):
     The classical engine steps on a second thread (``evolvers._beside``)
     while this thread steps the density engines: they share only
     read-only inputs, and the FFT and BLAS calls release the GIL, so the
-    states are those of a sequential run bit for bit.  A classical
-    failure is raised in preference to a density one, as in a sequential
-    run, and stops the density engines at their next record or
-    checkpoint.  The dt guard warns once, naming this function's caller,
-    before the engines run.
+    states are those of a sequential run bit for bit.  A failure on
+    either thread does not cut the other short; once both have ended, a
+    classical failure is raised in preference to a density one, as in a
+    sequential run.  The dt guard warns once, naming this function's
+    caller, before the engines run.
     """
     grid = scenario.build_grid()
     v = _stepped_potential(scenario)

@@ -67,6 +67,10 @@ def test_region_validation():
         SprinkleRegion(1.0, duration=-1.0)
     with pytest.raises(ConfigError):
         SprinkleRegion(1.0, geometry="cylinder")
+    inf = float("inf")
+    for bad in ({"dr": inf}, {"dr": 1.0, "duration": inf}, {"dr": 1.0, "rho": inf}):
+        with pytest.raises(ConfigError, match="finite"):
+            SprinkleRegion(**bad)
 
 
 def test_ball_volume():

@@ -50,6 +50,11 @@ def test_config_validation():
         EvolverConfig(dt=0.0, n_steps=1)
     with pytest.raises(ConfigError):
         EvolverConfig(dt=0.1, n_steps=0)
+    for dt in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="dt must be positive and finite"):
+            EvolverConfig(dt=dt, n_steps=2)
+    # an infinite threshold never aborts, so it is allowed
+    EvolverConfig(dt=0.1, n_steps=1, tail_threshold=float("inf"))
     for threshold in (float("nan"), 0.0, -1.0):
         with pytest.raises(ConfigError, match="tail_threshold"):
             EvolverConfig(dt=0.1, n_steps=1, tail_threshold=threshold)
@@ -692,15 +697,9 @@ def test_beside_runs_the_job_on_a_new_thread_and_joins_it():
     job_ident, own_ident = evolvers._beside(threading.get_ident, threading.get_ident)
     assert own_ident == caller and job_ident != caller
     assert threading.active_count() == before
-    # only the caller's side sees the stop event, and only during the call;
     # the job runs in the new thread's context, under numpy's default errstate
     with np.errstate(all="raise"):
-        (job_stop, job_err), (own_stop, own_err) = evolvers._beside(
-            lambda: (evolvers._STOP.get(), np.geterr()),
-            lambda: (evolvers._STOP.get(), np.geterr()),
-        )
-    assert job_stop is None and isinstance(own_stop, threading.Event)
-    assert evolvers._STOP.get() is None
+        job_err, own_err = evolvers._beside(np.geterr, np.geterr)
     assert job_err["over"] == "warn" and own_err["over"] == "raise"
 
 
@@ -722,26 +721,28 @@ def test_worker_error_reaches_the_caller_in_preference_to_its_own():
     assert threading.active_count() == before
 
 
-def test_worker_error_stops_the_callers_engines(grid64):
-    # a failed job sets the stop event; the caller's kernel ends at its
-    # next record instead of running to completion
+def test_worker_error_is_raised_after_the_callers_engine_finishes(grid64):
+    # a failed job does not cut the caller's kernel short: it runs all its
+    # steps, and the job's error is raised once it has returned
     f0 = xp_to_Qq(make_gaussian_phase_space(0.0, 0.0, SIGMA, SIGMA, grid64))
     cfg = EvolverConfig(dt=0.002, n_steps=100, record_every=10)
+    failed = threading.Event()
     steps = []
 
     def phase(work, step):
         steps.append(step)
 
     def fail():
+        failed.set()
         raise ValueError("worker job")
 
     def own():
-        assert evolvers._STOP.get().wait(timeout=60)
+        assert failed.wait(timeout=60)
         return evolvers._strang_density(f0, cfg, phase)
 
     with pytest.raises(ValueError, match="worker job"):
         evolvers._beside(fail, own)
-    assert steps == list(range(1, 11))
+    assert steps == list(range(1, 101))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from liouq import SprinkleRegion, VoidEstimate, void_probability_mc
 from liouq.causet import (
+    _ALIGN,
     _BLOCK,
     _PHILOX_W,
     _POISSON_LAM_MAX,
+    _aligned_uint64,
     _empty_trials,
     _philox_word0,
 )
@@ -195,6 +197,16 @@ def test_empty_trials_match_per_trial_generator(seed, geometry, mean_count):
     np.testing.assert_array_equal(got, want)
     est = void_probability_mc(region, n, seed)
     assert est.empirical == int(want.sum()) / n
+
+
+@pytest.mark.parametrize("shape", [(11, _BLOCK), (9, 1000), (3,)])
+def test_aligned_buffers_start_every_row_on_a_cache_line(shape):
+    for _ in range(8):  # numpy's own buffers start at varying offsets
+        buf = _aligned_uint64(shape)
+        assert buf.shape == shape and buf.dtype == np.uint64
+        assert buf.ctypes.data % _ALIGN == 0
+        if shape == (11, _BLOCK):
+            assert buf.strides[0] % _ALIGN == 0
 
 
 @strict

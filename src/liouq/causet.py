@@ -9,14 +9,16 @@ The bare estimate exp(-dr^3) drops the geometric constant of the ball
 volume; the exact law for a Poisson process is exp(-rho V4).  Both are
 always reported side by side.
 
-Trial ``t`` of a Monte Carlo estimate draws its element count from
-stream ``(seed, t)`` (:mod:`liouq.streams`).  For a mean count
-lambda < 10 numpy's Poisson sampler multiplies uniforms until the
-product drops to exp(-lambda), so the count is 0 exactly when the first
-uniform is <= exp(-lambda).  That uniform is word 0 of the stream's
-first Philox4x64-10 block, counter (1, 0, 0, 0), shifted right by 11
-and scaled by 2^-53; it is computed here for a whole block of trials at
-once, which gives every trial the emptiness its own generator gives.
+Trial ``t`` of a Monte Carlo estimate is empty when the first uniform
+of stream ``(seed, t)`` (:mod:`liouq.streams`) is <= exp(-lambda), with
+lambda = rho V4 the mean count: an exact Bernoulli draw of the void law,
+by one rule at every lambda.  Below lambda = 10 numpy's Poisson sampler
+multiplies uniforms until the product drops to exp(-lambda), so there
+the rule marks exactly the trials whose generator's ``poisson(lambda)``
+is 0.  That uniform is word 0 of the stream's first Philox4x64-10
+block, counter (1, 0, 0, 0), shifted right by 11 and scaled by 2^-53;
+it is computed here for a whole block of trials at once, which gives
+every trial the uniform its own generator gives.
 Only the arithmetic that differs between trials and reaches word 0 runs
 on arrays: round 0 and the seed lane of round 1 are the same for every
 trial and are Python integers, and rounds 7 to 9 form only the words
@@ -25,10 +27,6 @@ so each word is numpy's, bit for bit.
 The word itself is compared with the largest word whose uniform is
 <= exp(-lambda), and the rounds run in place in buffers made once per
 call, so the blocks allocate no memory.
-From lambda = 10 on numpy switches to a rejection sampler (PTRS) that
-consumes a variable number of draws, and each trial draws from its own
-stream, walked through one rekeyed generator
-(:func:`liouq.streams.each_stream`).
 """
 
 from __future__ import annotations
@@ -39,14 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .streams import check_seed, each_stream
+from .streams import check_seed
 
 _GEOMETRIES = ("ball_times_interval", "box")
 _BLOCK = 8192  # trials per vectorized block: bounds the uint64 buffers
 _ALIGN = 64  # bytes: where the block buffers start (a cache line)
-_PTRS_LAM = 10.0  # numpy's Poisson sampler leaves multiplication here
-# numpy's Poisson sampler refuses a larger mean ("lam value too large")
-_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments
 _U64 = 2**64 - 1
@@ -72,6 +67,12 @@ class SprinkleRegion:
             raise ConfigError("rho must be positive and finite")
         if self.geometry not in _GEOMETRIES:
             raise ConfigError(f"unknown geometry {self.geometry!r}")
+        try:
+            mean_count = self.rho * self.volume4
+        except OverflowError:  # dr**3 beyond a double
+            mean_count = math.inf
+        if not mean_count < math.inf:
+            raise ConfigError("the mean count rho V4 must be finite")
 
     @property
     def volume4(self) -> float:
@@ -214,43 +215,22 @@ def _last_empty_word(mean_count: float) -> np.uint64:
     return np.uint64(min(((math.floor(p * 2.0**53) + 1) << 11) - 1, _U64))
 
 
-def _empty_trials(
-    seed: int, trials: np.ndarray, mean_count: float, work=None
-) -> np.ndarray:
-    """Whether stream ``(seed, t)`` draws a Poisson count of 0, per trial ``t``.
-
-    ``work`` is the round buffer of :func:`_philox_word0`.
-    """
-    if mean_count >= _PTRS_LAM:
-        return np.array(
-            [gen.poisson(mean_count) == 0 for gen in each_stream(seed, trials)],
-            dtype=bool,
-        )
-    return _philox_word0(seed, trials, work) <= _last_empty_word(mean_count)
-
-
 def void_probability_mc(
     region: SprinkleRegion, n_trials: int, seed: int
 ) -> VoidEstimate:
     """Empirical emptiness fraction with binomial standard error.
 
-    Trial ``t`` is empty when stream ``(seed, t)`` draws a Poisson count
-    of 0 with mean rho V4; below a mean of 10 that is decided for blocks
-    of trials at once from each stream's first uniform (see the module
-    docstring), from 10 on by each trial's own generator.  Either way
-    every trial's outcome is the one its generator's ``poisson`` gives.
-    Fewer than 100 trials raise ``ConfigError``; a mean above the
-    sampler's limit raises ``DomainError``.
+    Trial ``t`` is empty when the first uniform of stream ``(seed, t)``
+    is <= exp(-rho V4), decided for blocks of trials at once from each
+    stream's Philox word 0 (see the module docstring).  Below a mean
+    count of 10 these are exactly the trials whose generator's
+    ``poisson`` gives 0.  Fewer than 100 trials raise ``ConfigError``.
     """
     if n_trials < 100:
         raise ConfigError("need at least 100 trials")
     seed = check_seed(seed)
     mean_count = region.rho * region.volume4
-    if not mean_count <= _POISSON_LAM_MAX:
-        raise DomainError(
-            f"mean count lambda = rho V4 = {mean_count:.3e} exceeds the "
-            f"Poisson sampler's limit {_POISSON_LAM_MAX:.3e}"
-        )
+    last_empty = _last_empty_word(mean_count)
     # one set of buffers for every block, so the blocks allocate nothing;
     # _BLOCK words are whole cache lines, so every row starts on one
     buffers = _aligned_uint64((11, _BLOCK))
@@ -260,8 +240,8 @@ def void_probability_mc(
     for start in range(0, n_trials, _BLOCK):
         n = min(_BLOCK, n_trials - start)
         np.add(offsets[:n], np.uint64(start), out=trials[:n])
-        flags = _empty_trials(seed, trials[:n], mean_count, work[:, :n])
-        empty += int(np.count_nonzero(flags))
+        words = _philox_word0(seed, trials[:n], work[:, :n])
+        empty += int(np.count_nonzero(words <= last_empty))
     empirical = empty / n_trials
     stderr = float(np.sqrt(empirical * (1.0 - empirical) / n_trials))
     bare_value = float(np.exp(-(region.dr**3)))

@@ -181,10 +181,9 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     not depend on thread timing and equals a run of both jobs on one
     thread.  With at most two blocks every sum takes the operands in the
     order a single loop over the blocks would, bit for bit; with more,
-    the block sums are added in another order.  A second call splits
-    the records by parity and turns each record's sums into its mean in
-    place.  A run makes two thread starts, whatever M and the number of
-    records.
+    the block sums are added in another order.  This thread then turns
+    each record's sums into its mean in place, one record after another.
+    A run makes one thread start, whatever M and the number of records.
 
     Raises ``RealizationError`` for the first failing realization: 0
     with ``_frozen_walk``'s ``BoundaryContaminationError`` or
@@ -227,32 +226,6 @@ def _closed_form_moments(f0, V, spec, M, cfg):
                 first_sum[r] += b.sum(axis=0)
         return None
 
-    def finish(records: range) -> None:
-        # shift = (first(Q) + conj(first(q)) + pair) / M; the mean
-        # f0 D (1 + shift) is formed in the buffer of the record's sums
-        shift = np.empty((n, n), dtype=complex)
-        work = np.empty((n, n))
-        for r in records:
-            pair, total, d, spread = mean[r + 1], first[r], phases[r], m2[r + 1]
-            np.add(total[:, None], total.conj()[None, :], out=shift)
-            shift += pair
-            shift /= M
-            second = pair.real.diagonal()
-            np.add(second[:, None], second[None, :], out=spread)
-            spread -= np.multiply(2.0, pair.real, out=work)
-            np.square(np.abs(shift, out=work), out=work)
-            spread -= np.multiply(M, work, out=work)
-            # non-negative in exact arithmetic (Cauchy-Schwarz); guard rounding
-            np.maximum(spread, 0.0, out=spread)
-            np.multiply(abs_f0_sq, spread, out=spread)
-            shift += 1.0
-            np.multiply(d[:, None], d.conj()[None, :], out=pair)
-            np.multiply(f0.values, pair, out=pair)
-            pair *= shift
-            # dV(Q) - dV(Q) vanishes: the diagonal never moves
-            pair[diag] = f0.values[diag]
-            spread[diag] = 0.0
-
     blocks = range(0, M, _BLOCK)
     theirs = (np.zeros_like(mean[1:]), np.zeros_like(first))
     found = _beside(
@@ -271,8 +244,30 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     m2 = np.zeros(mean.shape)
     abs_f0_sq = np.abs(f0.values) ** 2
     diag = np.diag_indices(n)
-    records = range(len(steps))
-    _beside(lambda: finish(records[1::2]), lambda: finish(records[0::2]))
+    # shift = (first(Q) + conj(first(q)) + pair) / M; the mean
+    # f0 D (1 + shift) is formed in the buffer of the record's sums
+    shift = np.empty((n, n), dtype=complex)
+    work = np.empty((n, n))
+    for r in range(len(steps)):
+        pair, total, d, spread = mean[r + 1], first[r], phases[r], m2[r + 1]
+        np.add(total[:, None], total.conj()[None, :], out=shift)
+        shift += pair
+        shift /= M
+        second = pair.real.diagonal()
+        np.add(second[:, None], second[None, :], out=spread)
+        spread -= np.multiply(2.0, pair.real, out=work)
+        np.square(np.abs(shift, out=work), out=work)
+        spread -= np.multiply(M, work, out=work)
+        # non-negative in exact arithmetic (Cauchy-Schwarz); guard rounding
+        np.maximum(spread, 0.0, out=spread)
+        np.multiply(abs_f0_sq, spread, out=spread)
+        shift += 1.0
+        np.multiply(d[:, None], d.conj()[None, :], out=pair)
+        np.multiply(f0.values, pair, out=pair)
+        pair *= shift
+        # dV(Q) - dV(Q) vanishes: the diagonal never moves
+        pair[diag] = f0.values[diag]
+        spread[diag] = 0.0
     return times, mean, m2
 
 
@@ -297,8 +292,9 @@ def ensemble_evolve(
     one, whose sums are added to this thread's in a fixed order: reruns
     are bit-identical, and equal a run of both threads' jobs on one
     thread; with at most two blocks the sums are those of one loop over
-    the blocks, bit for bit.  The means are formed in the buffer that
-    held the sums, and the standard errors in the one that held M2.
+    the blocks, bit for bit.  This thread alone then forms the means, in
+    the buffer that held the sums, and the standard errors, in the one
+    that held M2.
     The diagonal keeps f0's values exactly.  Raises
     ``RealizationError`` when f0's tail is over the limit or a phase is
     not finite.

@@ -11,7 +11,7 @@ streams through one bit generator: a Philox state is just its key and
 counter, so setting the state to key ``(seed, k)`` at counter 0 gives
 exactly stream ``(seed, k)``, without building a new generator (and its
 unused OS-entropy seed) per stream.  ``normal_rows`` (the quenched
-noise) and the void law's per-trial fallback draw through it.
+noise) draws through it.
 """
 
 from __future__ import annotations

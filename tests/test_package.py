@@ -89,6 +89,8 @@ def test_import_pins_blas_threads_unless_set(monkeypatch):
     "script, args",
     [
         ("void_experiment.py", ["--trials", "200", "--radii", "0.5"]),
+        # the sweep's default top radius, mean count 14.1
+        ("void_experiment.py", ["--trials", "200", "--radii", "0.5", "1.5"]),
     ],
 )
 def test_script_runs(script, args):

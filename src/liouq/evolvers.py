@@ -76,11 +76,11 @@ of both factors.
 
 from __future__ import annotations
 
+import operator
 import sys
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -123,10 +123,12 @@ class EvolverConfig:
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ConfigError("dt must be positive and finite")
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be at least 1")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be at least 1")
+        for name in ("n_steps", "record_every"):
+            try:
+                if operator.index(getattr(self, name)) < 1:
+                    raise ConfigError(f"{name} must be at least 1")
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer") from None
         if not self.tail_threshold > 0:
             raise ConfigError("tail_threshold must be positive")
 
@@ -138,17 +140,18 @@ class EvolverConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded snapshots of one evolution run."""
+    """Recorded snapshots of one evolution run; a record's time is its state's."""
 
-    times: List[float]
     states: list
-    diagnostics: List[dict]
+    diagnostics: list[dict]
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ConfigError("times and states must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("times must be strictly increasing")
+
+    @property
+    def times(self) -> list[float]:
+        return [state.time for state in self.states]
 
 
 def _check_dt_guard(cfg: EvolverConfig, grid: GridSpec) -> None:
@@ -174,10 +177,9 @@ def _check_tail(work: np.ndarray, limit: float, step: int) -> float:
     return tail
 
 
-def _record_steps(cfg: EvolverConfig) -> set:
-    steps = set(range(cfg.record_every, cfg.n_steps + 1, cfg.record_every))
-    steps.add(cfg.n_steps)
-    return steps
+def _record_steps(cfg: EvolverConfig) -> list:
+    """The recorded steps, ascending: every ``record_every``-th and the last."""
+    return [*range(cfg.record_every, cfg.n_steps, cfg.record_every), cfg.n_steps]
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,12 @@ def _fft2(work: np.ndarray) -> None:
 
 
 def _ifft2(work: np.ndarray) -> None:
-    """``work[:] = ifft2(work)`` in place, in ``ifft2``'s own axis order."""
+    """``work[:] = ifft2(work)`` in place, in ``ifft2``'s own axis order.
+
+    Not ``ifft2(work, out=work)``: numpy 2.4's ``ifft2`` ignores ``out``.
+    ``fft2`` and ``ifftn`` honour it, but took 294-300 µs a pair at n=128
+    on a 2-core Xeon, against 287-289 µs for the per-axis pair.
+    """
     np.fft.ifft(work, axis=1, out=work)
     np.fft.ifft(work, axis=0, out=work)
 
@@ -250,7 +257,7 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag) -> Trajectory:
 
     ``kin_half`` is the spectral half-step factor.  ``phase(work, step)``
     applies step ``step``'s pointwise factor to ``work`` in place.
-    ``snapshot(work, t)`` builds the recorded state and
+    ``snapshot(work, t)`` builds the recorded state at time t and
     ``diag(state, tail)`` its diagnostics.
 
     Adjacent kinetic half-steps are fused (K½ V K½ · K½ V K½ =
@@ -281,8 +288,8 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag) -> Trajectory:
     the limit.
     """
     _check_dt_guard(cfg, f0.grid)
-    record_at = _record_steps(cfg)
-    times = [f0.time]
+    # a set: ``in`` on the list would make a record_every=1 run quadratic
+    record_at = set(_record_steps(cfg))
     states: list = [f0]
     diags = [diag(f0, boundary_fraction(work))]
     limit = cfg.tail_threshold
@@ -309,12 +316,10 @@ def _strang(f0, work, cfg, kin_half, phase, snapshot, diag) -> Trajectory:
         work *= kin
         if recorded:
             tail = _check_tail(full, limit, step)
-            t = f0.time + step * cfg.dt
-            state = snapshot(full, t)
-            times.append(t)
+            state = snapshot(full, f0.time + step * cfg.dt)
             states.append(state)
             diags.append(diag(state, tail))
-    return Trajectory(times, states, diags)
+    return Trajectory(states, diags)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +443,7 @@ def _spectral_operator(grid: GridSpec, symbol) -> np.ndarray:
 def _dense_stops(cfg: EvolverConfig) -> list:
     """Record steps, with a checkpoint every ``_CHECKPOINT`` steps after each."""
     stops, prev = [], 0
-    for rec in sorted(_record_steps(cfg)):
+    for rec in _record_steps(cfg):
         stops += range(prev + _CHECKPOINT, rec, _CHECKPOINT)
         stops.append(rec)
         prev = rec
@@ -464,9 +469,8 @@ def _dense_density(
     potential = np.exp(-1j * dt * v.value(grid.x, f0.time + 0.5 * dt))
     step = kin_half @ (potential[:, None] * kin_half)
     powers: dict = {}
-    record_at = _record_steps(cfg)
+    record_at = set(_record_steps(cfg))
     work = f0.values
-    times = [f0.time]
     states: list = [f0]
     diags = [_density_diag(f0, boundary_fraction(work))]
     done = 0
@@ -479,13 +483,11 @@ def _dense_density(
         if tail > cfg.tail_threshold:
             return None
         if stop in record_at:
-            t = f0.time + stop * dt
-            state = DensityGrid(grid, work, t)
-            times.append(t)
+            state = DensityGrid(grid, work, f0.time + stop * dt)
             states.append(state)
             diags.append(_density_diag(state, tail))
     _check_dt_guard(cfg, grid)
-    return Trajectory(times, states, diags)
+    return Trajectory(states, diags)
 
 
 def _require_hermitian(f0: DensityGrid) -> None:

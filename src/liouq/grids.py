@@ -44,6 +44,9 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 TAIL_LIMIT = 1e-12  # allowed relative boundary tail for freshly built states
+# margin / sigma at which a Gaussian tail exp(-r^2 / 2) reaches TAIL_LIMIT;
+# margins are compared unsquared, so that no huge ratio overflows
+_TAIL_SIGMAS = float(np.sqrt(-2.0 * np.log(TAIL_LIMIT)))
 
 
 @dataclass(frozen=True)
@@ -184,19 +187,20 @@ def make_gaussian_phase_space(
     margin_p = grid.momentum_half_width - abs(center_p)
     if margin_x <= 0 or margin_p <= 0:
         raise DomainError("gaussian center outside the grid")
-    tail = max(
-        np.exp(-0.5 * (margin_x / sigma_x) ** 2),
-        np.exp(-0.5 * (margin_p / sigma_p) ** 2),
-    )
-    if tail > TAIL_LIMIT:
+    ratio = min(margin_x / sigma_x, margin_p / sigma_p)
+    if ratio < _TAIL_SIGMAS:
         raise DomainError(
-            f"gaussian tail {tail:.2e} at the boundary exceeds {TAIL_LIMIT:.0e}; "
-            "enlarge the grid or shrink the state"
+            f"gaussian tail {np.exp(-0.5 * ratio**2):.2e} at the boundary exceeds "
+            f"{TAIL_LIMIT:.0e}; enlarge the grid or shrink the state"
         )
-    gx = np.exp(-0.5 * ((grid.x - center_x) / sigma_x) ** 2)
-    gp = np.exp(-0.5 * ((grid.p - center_p) / sigma_p) ** 2)
+    with np.errstate(over="ignore"):  # far from a narrow packet it is 0
+        gx = np.exp(-0.5 * ((grid.x - center_x) / sigma_x) ** 2)
+        gp = np.exp(-0.5 * ((grid.p - center_p) / sigma_p) ** 2)
     vals = np.outer(gx, gp)
-    vals /= vals.sum() * grid.spacing * grid.momentum_spacing
+    mass = vals.sum() * grid.spacing * grid.momentum_spacing
+    if not mass > 0:
+        raise DomainError("gaussian narrower than a cell misses every lattice point")
+    vals /= mass
     return PhaseSpaceDistribution(grid, vals, 0.0)
 
 
@@ -216,14 +220,18 @@ def make_cat_density(
     if separation < 0:
         raise DomainError("separation must be non-negative")
     margin = grid.half_width - separation / 2.0
-    if margin <= 0 or np.exp(-0.5 * (margin / sigma) ** 2) > TAIL_LIMIT:
+    if not margin / sigma >= _TAIL_SIGMAS:
         raise DomainError("cat-state packets too close to the boundary")
     x = grid.x
-    psi = np.exp(-((x - separation / 2.0) ** 2) / (4.0 * sigma**2)) + np.exp(
-        -((x + separation / 2.0) ** 2) / (4.0 * sigma**2)
-    )
+    # far from a narrow packet it is 0; one whose sigma^2 underflows is NaN
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        psi = np.exp(-((x - separation / 2.0) ** 2) / (4.0 * sigma**2)) + np.exp(
+            -((x + separation / 2.0) ** 2) / (4.0 * sigma**2)
+        )
     psi = psi.astype(complex) * np.exp(1j * momentum * x)
     norm2 = float((np.abs(psi) ** 2).sum() * grid.spacing)
+    if not norm2 > 0:
+        raise DomainError("cat-state packets narrower than a cell miss the lattice")
     vals = np.outer(psi, psi.conj()) / norm2
     return DensityGrid(grid, vals, 0.0)
 

@@ -116,8 +116,8 @@ def Constant(c: float = 0.0) -> Polynomial:
 
 
 def Harmonic(omega: float = 1.0) -> Polynomial:
-    """v = omega^2 x^2 / 2."""
-    return Polynomial((0.0, 0.0, 0.5 * omega**2))
+    """v = omega^2 x^2 / 2; a square past the float range is inf, not an error."""
+    return Polynomial((0.0, 0.0, 0.5 * (omega * omega)))
 
 
 def Quartic(lam: float = 1.0) -> Polynomial:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -79,6 +80,11 @@ SCHEMA = {
 _NUMERIC = ("float", "float_or_list", "list")  # type tags whose values are numbers
 _AS_IS = {"str": str, "list": list}  # type tags kept as parsed
 _ENGINES = ("classical", "qq", "vonneumann")
+_POLYNOMIALS = {  # potential.kind -> (constructor, the key it takes)
+    "harmonic": (Harmonic, "potential.params.omega"),
+    "quartic": (Quartic, "potential.params.lam"),
+    "polynomial": (lambda coeffs: Polynomial(tuple(coeffs)), "potential.coeffs"),
+}
 _STATE_KINDS = ("gaussian", "cat")
 
 
@@ -117,7 +123,8 @@ def _finite(value) -> bool:
     if isinstance(value, list):
         return all(_finite(item) for item in value)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and math.isfinite(value)
+    # not math.isfinite, which raises OverflowError on an int past the float range
+    return number and abs(value) <= sys.float_info.max
 
 
 def _coerce(key: str, value):
@@ -186,14 +193,15 @@ class Scenario:
                     "potential.params.a is required for potential.kind='linear'"
                 )
             return Linear(a, 0.0 if b is None else b)
-        if kind == "harmonic":
-            return Harmonic(need("potential.params.omega"))
-        if kind == "quartic":
-            return Quartic(need("potential.params.lam"))
-        if kind == "polynomial":
-            coeffs = need("potential.coeffs")
-            with self._bad_keys("potential", "potential.coeffs"):
-                return Polynomial(tuple(coeffs))
+        if kind in _POLYNOMIALS:
+            build, key = _POLYNOMIALS[kind]
+            value = need(key)
+            with self._bad_keys("potential", key):
+                v = build(value)
+                # Harmonic squares omega, which can leave the float range
+                if not all(map(math.isfinite, v.coeffs)):
+                    raise DomainError(f"coefficients {v.coeffs} are not all finite")
+                return v
         if kind == "piecewise_linear":
             keys = ("potential.breakpoints", "potential.values")
             breakpoints, values = (need(key) for key in keys)

@@ -27,7 +27,6 @@ k's field dV(x) as an array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from .evolvers import (
 )
 from .grids import DensityGrid, GridSpec, boundary_fraction
 from .potentials import Potential
-from .streams import check_seed, normal_rows, stream
+from .streams import check_seed, normal_rows
 
 _BLOCK = 128  # realizations per accumulation block of the closed form
 
@@ -82,22 +81,19 @@ class NoiseSpec:
 
 def sample_noise(spec: NoiseSpec, grid: GridSpec, k: int) -> np.ndarray:
     """Draw realization ``k``'s field dV(x): independent cells, mean 0, std nu(x)."""
-    return spec.nu_on_grid(grid) * stream(spec.seed, k).standard_normal(grid.n_points)
+    return spec.nu_on_grid(grid) * normal_rows(spec.seed, [k], grid.n_points)[0]
 
 
 @dataclass
 class EnsembleReport:
     """Averaged states and per-element standard errors per recorded time."""
 
-    n_realizations: int
-    seed: int
-    times: List[float]
-    mean_states: List[DensityGrid]
-    stderr: List[np.ndarray]
+    mean_states: list[DensityGrid]
+    stderr: list[np.ndarray]
 
-    def __post_init__(self):
-        if self.n_realizations < 1:
-            raise ConfigError("need at least one realization")
+    @property
+    def times(self) -> list[float]:
+        return [state.time for state in self.mean_states]
 
 
 def _phase_minus_one(theta: np.ndarray) -> np.ndarray:
@@ -126,7 +122,7 @@ def _potential_phases(V, x, t0, dt, steps) -> list:
 
 
 def _frozen_walk(f0: DensityGrid, V: Potential, cfg: EvolverConfig):
-    """Sorted record steps and V's midpoint phases d_s there, for a closed form.
+    """The record steps and V's midpoint phases d_s there, for a closed form.
 
     Both closed forms run with transport frozen (the module docstring
     says why), so every factor is pointwise and the factors commute:
@@ -138,7 +134,7 @@ def _frozen_walk(f0: DensityGrid, V: Potential, cfg: EvolverConfig):
     would abort.  A non-finite phase raises ``DomainError``.
     """
     _check_tail(f0.values, cfg.tail_threshold, 1)
-    steps = sorted(_record_steps(cfg))
+    steps = _record_steps(cfg)
     phases = _potential_phases(V, f0.grid.x, f0.time, cfg.dt, steps)
     if not all(np.all(np.isfinite(d)) for d in phases):
         raise DomainError("potential phase is not finite")
@@ -154,7 +150,7 @@ def _decay_rates(spec: NoiseSpec, grid: GridSpec) -> np.ndarray:
 
 
 def _closed_form_moments(f0, V, spec, M, cfg):
-    """Quenched pure-phase ensemble without stepping (see ensemble_evolve).
+    """Record steps, and the ensemble's means and M2 at f0 and every record.
 
     Transport is frozen (see the module docstring).  With
     u_k = exp(-i t dV_k) and b_k = u_k - 1, realization k at record
@@ -169,8 +165,8 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     A block's rows b are stepped from record to record: u at step s + g
     is u_s u_g, so b <- b + b_g + b b_g, where b_g is built once per
     block and distinct record gap g.  The update never forms 1 + b, so
-    small phases keep their relative accuracy.  A block's noise rows
-    come from one pass over its streams (``streams.normal_rows``).
+    small phases keep their relative accuracy.  A block's noise rows are
+    ``normal_rows`` of its realizations, ``sample_noise``'s fields over nu.
 
     The blocks alternate between this thread, which takes the even ones,
     and a second one (``evolvers._beside``): each thread draws its own
@@ -200,8 +196,7 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     n = grid.n_points
     profile = spec.nu_on_grid(grid)
     gaps = np.diff(steps, prepend=0)
-    times = [f0.time] + [f0.time + step * cfg.dt for step in steps]
-    mean = np.zeros((len(times), n, n), dtype=complex)
+    mean = np.zeros((len(steps) + 1, n, n), dtype=complex)
     mean[0] = f0.values
     first = np.zeros((len(steps), n), dtype=complex)
 
@@ -268,7 +263,7 @@ def _closed_form_moments(f0, V, spec, M, cfg):
         # dV(Q) - dV(Q) vanishes: the diagonal never moves
         pair[diag] = f0.values[diag]
         spread[diag] = 0.0
-    return times, mean, m2
+    return steps, mean, m2
 
 
 def ensemble_evolve(
@@ -294,22 +289,19 @@ def ensemble_evolve(
     thread; with at most two blocks the sums are those of one loop over
     the blocks, bit for bit.  This thread alone then forms the means, in
     the buffer that held the sums, and the standard errors, in the one
-    that held M2.
-    The diagonal keeps f0's values exactly.  Raises
-    ``RealizationError`` when f0's tail is over the limit or a phase is
-    not finite.
+    that held M2.  Each mean state carries its record's time, which
+    ``EnsembleReport.times`` reads.  The diagonal keeps f0's values
+    exactly.  Raises ``RealizationError`` when f0's tail is over the
+    limit or a phase is not finite.
     """
     if M < 2:
         raise ConfigError("need M >= 2 realizations for error bars")
-    times, mean, m2 = _closed_form_moments(f0, V, spec, M, cfg)
+    steps, mean, m2 = _closed_form_moments(f0, V, spec, M, cfg)
     m2 /= (M - 1) * M
     stderr = np.sqrt(m2, out=m2)
+    times = [f0.time] + [f0.time + step * cfg.dt for step in steps]
     return EnsembleReport(
-        n_realizations=M,
-        seed=spec.seed,
-        times=list(times),
-        mean_states=[DensityGrid(f0.grid, mean[i], t) for i, t in enumerate(times)],
-        stderr=[stderr[i] for i in range(len(times))],
+        [DensityGrid(f0.grid, m, t) for m, t in zip(mean, times)], list(stderr)
     )
 
 
@@ -343,7 +335,7 @@ def lindblad_evolve(
         values[diag] = f0.values[diag]
         states.append(DensityGrid(grid, values, f0.time + t))
     diags = [_density_diag(s, boundary_fraction(s.values)) for s in states]
-    return Trajectory([s.time for s in states], states, diags)
+    return Trajectory(states, diags)
 
 
 def decay_predict(f0: DensityGrid, spec: NoiseSpec, t: float) -> DensityGrid:

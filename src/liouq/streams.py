@@ -6,17 +6,14 @@ whose 128-bit key is the pair ``(seed, index)`` (Salmon et al.,
 depends only on its key, never on evaluation order.  A seed is one key
 word: anything outside [0, 2**64) is a configuration error.
 
-``stream`` builds the generator of one key.  ``each_stream`` walks many
-streams through one bit generator: a Philox state is just its key and
-counter, so setting the state to key ``(seed, k)`` at counter 0 gives
-exactly stream ``(seed, k)``, without building a new generator (and its
-unused OS-entropy seed) per stream.  ``normal_rows`` (the quenched
-noise) draws through it.
+``stream`` builds the generator of one key.  ``normal_rows`` draws the
+quenched noise, one row per key, through one rekeyed bit generator: a
+Philox state is just its key and counter, so setting the state to key
+``(seed, k)`` at counter 0 gives exactly stream ``(seed, k)``, without
+building a new generator (and its unused OS-entropy seed) per row.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -37,24 +34,13 @@ def stream(seed, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def each_stream(seed, indices) -> Iterator[np.random.Generator]:
-    """Yield ``stream(seed, k)`` at its start for each ``k`` in ``indices``, in order.
-
-    One generator is rekeyed each time, so a yielded generator is valid
-    only until the next one is yielded.
-    """
-    bits = np.random.Philox(key=np.array([check_seed(seed), 0], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    state = bits.state  # counter 0, empty output buffer
-    for k in indices:
-        state["state"]["key"][1] = k
-        bits.state = state
-        yield gen
-
-
 def normal_rows(seed, indices, n: int) -> np.ndarray:
     """Row i: ``stream(seed, indices[i]).standard_normal(n)``, bit for bit."""
+    gen = stream(seed)
+    state = gen.bit_generator.state  # counter 0, empty output buffer
     rows = np.empty((len(indices), n))
-    for row, gen in zip(rows, each_stream(seed, indices)):
+    for row, k in zip(rows, indices):
+        state["state"]["key"][1] = k
+        gen.bit_generator.state = state
         gen.standard_normal(n, out=row)
     return rows

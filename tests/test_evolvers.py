@@ -13,8 +13,11 @@ from liouq import (
     Harmonic,
     Linear,
     NoiseSpec,
+    PhaseSpaceDistribution,
     Quartic,
     dense_generator,
+    ensemble_evolve,
+    lindblad_evolve,
     liouville_evolve_xp,
     make_gaussian_phase_space,
     qq_liouville_evolve,
@@ -58,6 +61,47 @@ def test_config_validation():
     for threshold in (float("nan"), 0.0, -1.0):
         with pytest.raises(ConfigError, match="tail_threshold"):
             EvolverConfig(dt=0.1, n_steps=1, tail_threshold=threshold)
+    # a step count must be an integer of some integral type
+    for counts in ({"n_steps": 2.5}, {"n_steps": 4, "record_every": 1.5},
+                   {"n_steps": np.float64(4.0)}):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            EvolverConfig(dt=0.001, **counts)
+    cfg = EvolverConfig(dt=0.001, n_steps=np.int64(7), record_every=np.int64(3))
+    assert evolvers._record_steps(cfg) == [3, 6, 7]
+
+
+def _records(engine, f0, cfg):
+    """(states, per-record extras, times) of one run of ``engine``."""
+    rho = xp_to_Qq(f0)
+    spec = NoiseSpec(0.5, seed=1)
+    if engine == "ensemble":
+        report = ensemble_evolve(rho, Harmonic(1.0), spec, 2, cfg)
+        return report.mean_states, report.stderr, report.times
+    traj = {
+        "classical": lambda: liouville_evolve_xp(f0, Harmonic(1.0), cfg),
+        "vonneumann_dense": lambda: von_neumann_evolve(rho, Harmonic(1.0), cfg),
+        "qq_stepped": lambda: qq_liouville_evolve(rho, Quartic(0.01), cfg),
+        "lindblad": lambda: lindblad_evolve(rho, Harmonic(1.0), spec, cfg),
+    }[engine]()
+    return traj.states, traj.diagnostics, traj.times
+
+
+@pytest.mark.parametrize(
+    "engine", ["classical", "vonneumann_dense", "qq_stepped", "lindblad", "ensemble"]
+)
+def test_every_evolution_records_the_same_steps_and_times(engine):
+    # a nonzero start and a final record off the cadence; dt is within the
+    # kinetic-phase guard of this grid, 0.1 dx^2 = 0.0104
+    grid = GridSpec(62, 10.0)
+    f0 = make_gaussian_phase_space(0.0, 0.0, 0.8, 0.625, grid)
+    f0 = PhaseSpaceDistribution(grid, f0.values, 0.25)
+    cfg = EvolverConfig(dt=0.01, n_steps=7, record_every=3)
+    if engine == "vonneumann_dense":
+        assert evolvers._dense_density(xp_to_Qq(f0), Harmonic(1.0), cfg) is not None
+    states, extras, times = _records(engine, f0, cfg)
+    assert times == [0.25 + s * 0.01 for s in (0, 3, 6, 7)]
+    assert [state.time for state in states] == times
+    assert len(extras) == len(times)
 
 
 def test_harmonic_quarter_period_rotation(grid64):
@@ -266,7 +310,6 @@ def _unfused_strang(f0, work, cfg, kin_half, phase, snapshot, diag):
     """Reference ``_strang``: K½ V K½ per step, tail read after every full step."""
     evolvers._check_dt_guard(cfg, f0.grid)
     record_at = evolvers._record_steps(cfg)
-    times = [f0.time]
     states: list = [f0]
     diags = [diag(f0, boundary_fraction(work))]
     for step in range(1, cfg.n_steps + 1):
@@ -275,12 +318,10 @@ def _unfused_strang(f0, work, cfg, kin_half, phase, snapshot, diag):
         work = np.fft.ifft2(np.fft.fft2(work) * kin_half)
         tail = evolvers._check_tail(work, cfg.tail_threshold, step)
         if step in record_at:
-            t = f0.time + step * cfg.dt
-            state = snapshot(work, t)
-            times.append(t)
+            state = snapshot(work, f0.time + step * cfg.dt)
             states.append(state)
             diags.append(diag(state, tail))
-    return evolvers.Trajectory(times, states, diags)
+    return evolvers.Trajectory(states, diags)
 
 
 def _fft2_strang(f0, work, cfg, kin_half, phase, snapshot, diag):
@@ -288,7 +329,6 @@ def _fft2_strang(f0, work, cfg, kin_half, phase, snapshot, diag):
     ``fft2``/``ifft2``, with the exact tail read on every step."""
     evolvers._check_dt_guard(cfg, f0.grid)
     record_at = evolvers._record_steps(cfg)
-    times = [f0.time]
     states: list = [f0]
     diags = [diag(f0, boundary_fraction(work))]
     kin = kin_half * kin_half
@@ -303,12 +343,10 @@ def _fft2_strang(f0, work, cfg, kin_half, phase, snapshot, diag):
         spec *= kin
         tail = evolvers._check_tail(work, cfg.tail_threshold, step)
         if recorded:
-            t = f0.time + step * cfg.dt
-            state = snapshot(work, t)
-            times.append(t)
+            state = snapshot(work, f0.time + step * cfg.dt)
             states.append(state)
             diags.append(diag(state, tail))
-    return evolvers.Trajectory(times, states, diags)
+    return evolvers.Trajectory(states, diags)
 
 
 def _switched_linear():

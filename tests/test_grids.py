@@ -73,6 +73,28 @@ def test_gaussian_rejects_wide_support(grid64):
         make_gaussian_phase_space(0.0, 0.0, -1.0, SIGMA, grid64)
 
 
+# margin / sigma near 1e161, whose square a float cannot hold
+@pytest.mark.parametrize(
+    "build, fits",
+    [
+        (lambda g: make_gaussian_phase_space(0, 0, 0.7, 1e-160, g), True),
+        (lambda g: make_gaussian_phase_space(0.1, 0, 1e-160, 0.7, g), False),
+        (lambda g: make_cat_density(g, 4.0, 1e-160), True),
+        (lambda g: make_cat_density(g, 4.0, 1e-170), False),  # sigma^2 is 0
+    ],
+    ids=["gaussian_on_p_0", "gaussian_between_x_points", "cat_on_x_2",
+         "cat_sigma_sq_0"],
+)
+def test_narrow_states_neither_overflow_nor_warn(grid64, build, fits):
+    # a packet narrower than a cell is a state where it sits on a lattice
+    # point, else a DomainError; pytest turns any warning into an error
+    if fits:
+        assert np.isfinite(build(grid64).values).all()
+    else:
+        with pytest.raises(DomainError, match="narrower than a cell"):
+            build(grid64)
+
+
 def test_pure_state_roundtrip_stays_positive(grid64):
     # sigma_x * sigma_p = 1/2: the analytic density is positive everywhere,
     # so the reconstructed grid may only dip to rounding level

@@ -1,5 +1,6 @@
-"""Package namespace and the runnable scripts in ``scripts/``."""
+"""Package namespace, module imports and the runnable scripts in ``scripts/``."""
 
+import ast
 import inspect
 import os
 import re
@@ -43,6 +44,30 @@ def test_readme_evolver_config_signature_is_the_code():
         p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in params
     )
     assert " ".join(printed.group(1).split()) == actual
+
+
+def test_every_module_uses_what_it_imports():
+    # __init__'s imports are the package's API, so it is not checked
+    unused = []
+    for path in sorted((ROOT / "src" / "liouq").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert unused == []
 
 
 def run_python(*args, **env_vars):

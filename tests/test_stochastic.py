@@ -233,7 +233,7 @@ def direct_phase_oracle(f0, V, spec, M, cfg):
     vx = V.value(f0.grid.x)
     dv = np.array([sample_noise(spec, f0.grid, k) for k in range(M)])
     times, mean, stderr = [], [], []
-    for step in sorted(_record_steps(cfg)):
+    for step in _record_steps(cfg):
         t = step * cfg.dt
         b = _phase_minus_one(t * dv)
         pair = b.T @ b.conj()
@@ -279,7 +279,7 @@ def sequential_closed_form(f0, V, spec, M, cfg):
     profile = spec.nu_on_grid(grid)
     if boundary_fraction(f0.values) > cfg.tail_threshold:
         return None
-    steps = sorted(_record_steps(cfg))
+    steps = _record_steps(cfg)
     gaps = np.diff(steps, prepend=0)
     pair = np.zeros((len(steps), n, n), dtype=complex)
     first = np.zeros((len(steps), n), dtype=complex)
@@ -708,7 +708,7 @@ def test_lindblad_matches_stepped_oracle(grid, v, t0):
         assert abs(d["trace"] - f0.trace()) == 0.0
         assert d["hermiticity_defect"] <= 1e-15 * peak
     # each record is decay_predict's state times the phases, bit for bit
-    steps = sorted(_record_steps(cfg))
+    steps = _record_steps(cfg)
     phases = stochastic._potential_phases(v, grid.x, t0, cfg.dt, steps)
     for state, step, d in zip(traj.states[1:], steps, phases):
         expected = decay_predict(f0, spec, step * cfg.dt).values * np.outer(d, d.conj())

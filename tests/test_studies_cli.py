@@ -487,8 +487,11 @@ SPECTRUM_SMALL = (
         ("compare", SPECTRUM_SMALL, ("state.sigma_x", "grid.n", "grid.L")),
         ("decohere", CAT.replace("state.separation = 4.0", "state.separation = 19.0"),
          ("state.separation", "grid.L")),
+        # a momentum half-width near 1e302, whose square a float cannot hold
+        ("compare", HARMONIC.replace("grid.L = 8.0", "grid.L = 1e-300")
+         .replace("state.x0 = 0.4\n", ""), ("state.sigma_x", "grid.L")),
     ],
-    ids=["evolve_gaussian", "compare_gaussian", "decohere_cat"],
+    ids=["evolve_gaussian", "compare_gaussian", "decohere_cat", "compare_tiny_box"],
 )
 def test_cli_state_that_does_not_fit_is_config_error(tmp_path, capsys, command, text, keys):
     rc = main([command, "--scenario", write(tmp_path, text), "--out", str(tmp_path / "out")])
@@ -536,11 +539,14 @@ PIECEWISE = "potential.kind = piecewise_linear"
         ("segcheck", _potential(PIECEWISE, "potential.breakpoints = [[-8.0, 0.0, 8.0]]\n"
                                 "potential.values = [[1.0, 0.0, 1.0]]\n"),
          "potential.breakpoints"),
+        # omega^2 / 2 leaves the float range
+        ("compare", HARMONIC.replace("omega = 1.0", "omega = 1e200"),
+         "potential.params.omega"),
     ],
     ids=["schedule_entry_short", "schedule_entry_scalar", "schedule_empty",
          "coeff_list", "coeffs_empty", "delta_negative", "delta_short_nested",
          "delta_covering_nested", "delta_ragged", "breakpoints_ragged",
-         "breakpoints_nested"],
+         "breakpoints_nested", "omega_squared_overflows"],
 )
 def test_cli_malformed_potential_is_config_error(tmp_path, capsys, command, text, key):
     # caught at scenario load, before any study starts
@@ -580,10 +586,13 @@ evolve.t_final = 3.0
         ("compare", EDGE_BOUND.replace("potential.kind = quartic\npotential.params.lam = 0.25",
                                        "potential.kind = polynomial\n"
                                        'potential.coeffs = [0, "nan"]')),
+        ("compare", EDGE_BOUND.replace("potential.kind = quartic\npotential.params.lam = 0.25",
+                                       "potential.kind = polynomial\n"
+                                       f"potential.coeffs = [0, {10**400}]")),
         ("decohere", CAT.replace("noise.nu0 = 1.0", "noise.nu0 = -1.0")),
     ],
     ids=["nan_tail", "zero_tail", "nan_dt", "bare_nan_dt", "inf_float", "inf_int",
-         "inf_in_list", "string_in_list", "negative_nu0"],
+         "inf_in_list", "string_in_list", "int_past_float_in_list", "negative_nu0"],
 )
 def test_cli_non_finite_or_negative_value_is_config_error(tmp_path, capsys, command, text):
     rc = main([command, "--scenario", write(tmp_path, text), "--out", str(tmp_path / "out")])

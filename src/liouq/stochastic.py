@@ -40,11 +40,10 @@ from .evolvers import (
     EvolverConfig,
     Trajectory,
     _beside,
-    _check_tail,
     _density_diag,
     _record_steps,
 )
-from .grids import DensityGrid, GridSpec, boundary_fraction
+from .grids import DensityGrid, GridSpec, boundary_fraction, boundary_frame
 from .potentials import Potential
 from .streams import check_seed, normal_rows
 
@@ -127,13 +126,19 @@ def _frozen_walk(f0: DensityGrid, V: Potential, cfg: EvolverConfig):
     Both closed forms run with transport frozen (the module docstring
     says why), so every factor is pointwise and the factors commute:
     record step s is f0 times d_s(Q) conj(d_s(q)) times a noise factor,
-    and nothing is stepped.  No factor has modulus above 1, and for a
-    Hermitian positive f0 the peak is on the diagonal, which never
-    moves, so no record's tail exceeds f0's: f0's tail over the limit
-    raises ``BoundaryContaminationError`` at step 1, where a stepper
-    would abort.  A non-finite phase raises ``DomainError``.
+    and nothing is stepped.  The diagonal never moves and no factor has
+    modulus above 1, so no record's tail exceeds boundary_frame(f0) /
+    max|diag f0|, for any f0 (f0's own tail if f0 peaks on its diagonal,
+    as a Hermitian positive f0 does).  That bound over the limit, a
+    nonzero frame on a zero diagonal included, raises
+    ``BoundaryContaminationError`` at step 1, where a stepper would
+    abort.  A non-finite phase raises ``DomainError``.
     """
-    _check_tail(f0.values, cfg.tail_threshold, 1)
+    frame = boundary_frame(f0.values)
+    peak = float(np.abs(f0.values.diagonal()).max())
+    bound = frame / peak if peak else (np.inf if frame else 0.0)
+    if bound > cfg.tail_threshold:
+        raise BoundaryContaminationError(1, bound, cfg.tail_threshold)
     steps = _record_steps(cfg)
     phases = _potential_phases(V, f0.grid.x, f0.time, cfg.dt, steps)
     if not all(np.all(np.isfinite(d)) for d in phases):
@@ -183,7 +188,7 @@ def _closed_form_moments(f0, V, spec, M, cfg):
 
     Raises ``RealizationError`` for the first failing realization: 0
     with ``_frozen_walk``'s ``BoundaryContaminationError`` or
-    ``DomainError`` (f0's tail, a non-finite potential phase), else a
+    ``DomainError`` (the tail bound, a non-finite potential phase), else a
     ``DomainError`` for a non-finite noise row (the smallest such k:
     each thread stops at its first one, and every block below the
     smaller was checked by its owner).
@@ -291,8 +296,8 @@ def ensemble_evolve(
     the buffer that held the sums, and the standard errors, in the one
     that held M2.  Each mean state carries its record's time, which
     ``EnsembleReport.times`` reads.  The diagonal keeps f0's values
-    exactly.  Raises ``RealizationError`` when f0's tail is over the
-    limit or a phase is not finite.
+    exactly.  Raises ``RealizationError`` when ``_frozen_walk``'s tail
+    bound is over the limit or a phase is not finite.
     """
     if M < 2:
         raise ConfigError("need M >= 2 realizations for error bars")
@@ -319,8 +324,8 @@ def lindblad_evolve(
     d_s(Q) conj(d_s(q)), with d_s V's midpoint phases as in the
     ensemble's closed form.  The diagonal keeps f0's values exactly.
     Raises ``_frozen_walk``'s errors bare: ``BoundaryContaminationError``
-    at step 1 when f0's tail is over the limit, ``DomainError`` for a
-    non-finite potential phase.
+    at step 1 when its tail bound is over the limit, ``DomainError`` for
+    a non-finite potential phase.
     """
     steps, phases = _frozen_walk(f0, V, cfg)
     grid = f0.grid

@@ -30,12 +30,7 @@ from .evolvers import (
     von_neumann_evolve,
 )
 from .grids import save_state, xp_to_Qq
-from .potentials import (
-    PiecewiseLinear,
-    linearize,
-    segment_sum,
-    superoperator_field,
-)
+from .potentials import PiecewiseLinear, linearize, segment_sum
 from .scenario import Scenario
 from .stochastic import (
     _decay_rates,
@@ -277,8 +272,9 @@ def run_decoherence_study(scenario: Scenario):
 
     The ensemble size is the scenario's ``ensemble.realizations``.  The
     check names keep their word "stepper" for the dissipative evolution,
-    which is a closed form: ``probe_*_stepper_vs_closed_form`` checks that
-    its potential phases leave ``decay_predict``'s magnitudes unchanged.
+    a closed form.  The study evaluates the probe law itself, so
+    ``probe_*_stepper_vs_closed_form`` holds ``lindblad_evolve`` to an
+    independent law: ``stochastic._decay_rates`` × 1.05 fails it.
     """
     grid = scenario.build_grid()
     v = scenario.build_potential()
@@ -382,7 +378,7 @@ def run_void_study(dr, rho=1.0, duration=1.0, geometry="ball_times_interval",
 
 
 def run_segment_checks(scenario: Scenario, n_pairs=1000, seed=0):
-    """Random-pair identities for the piecewise-linear machinery."""
+    """``segment_sum`` against v(Q) - v(q) at random pairs, V made piecewise linear."""
     if n_pairs < 1:
         raise ConfigError("need at least one pair")
     grid = scenario.build_grid()
@@ -397,8 +393,6 @@ def run_segment_checks(scenario: Scenario, n_pairs=1000, seed=0):
         got = segment_sum(v, q, Q)
         want = float(v.value(Q) - v.value(q))
         worst = max(worst, abs(got - want))
-    field = superoperator_field(scenario.build_potential(), grid)
-    antisym = float(np.abs(field + field.T).max())
     report = RunReport(
         study="segcheck",
         scenario_hash=scenario.content_hash,
@@ -406,27 +400,23 @@ def run_segment_checks(scenario: Scenario, n_pairs=1000, seed=0):
     )
     report.metrics["n_pairs"] = n_pairs
     report.add_check("segment_sum_identity", worst, SEGMENT_TOL)
-    report.add_check("field_antisymmetry", antisym, 0.0)
     return report, {}
 
 
 def run_spectrum_study(scenario: Scenario):
-    """Dense-generator eigenvalues and their symmetry defect."""
+    """Dense-generator eigenvalues; like ``run_evolve_study``, no checks."""
     grid = scenario.build_grid()
     v = scenario.build_potential()
     try:
         _, eigenvalues = dense_generator(v, grid)
     except DomainError as exc:
         raise ConfigError(f"grid.n = {grid.n_points}: {exc}") from exc
-    flipped = np.sort(-eigenvalues)
-    defect = float(np.abs(np.sort(eigenvalues) - flipped).max())
     report = RunReport(
         study="spectrum",
         scenario_hash=scenario.content_hash,
         seeds={},
     )
     report.metrics["n_eigenvalues"] = int(eigenvalues.size)
-    report.add_check("spectrum_symmetry", defect, 1e-8)
     table = {"index": range(eigenvalues.size), "eigenvalue": eigenvalues}
     return report, {"tables": {"spectrum": table}}
 

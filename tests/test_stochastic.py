@@ -796,6 +796,27 @@ def test_compare_pass_for_quenched_window(cat, grid):
     assert result["pass"]
 
 
+def test_compare_skips_records_past_the_noise_window(cat):
+    # a record with t max(nu) > 2 is not compared: corrupting it changes
+    # nothing, while corrupting one inside the window fails the comparison
+    spec = NoiseSpec(nu=1.0, seed=11)
+    cfg = EvolverConfig(dt=0.25, n_steps=12, record_every=4)
+    rep = ensemble_evolve(cat, Constant(0.0), spec, 400, cfg)
+    traj = lindblad_evolve(cat, Constant(0.0), spec, cfg)
+    assert traj.times == [0.0, 1.0, 2.0, 3.0]
+    clean = compare_ensemble_vs_lindblad(rep, traj, spec)
+    assert clean["pass"]
+
+    def corrupted(r):
+        states = list(traj.states)
+        shift = 0.1 * np.abs(cat.values).max()
+        states[r] = DensityGrid(cat.grid, states[r].values + shift, states[r].time)
+        return dataclasses.replace(traj, states=states)
+
+    assert compare_ensemble_vs_lindblad(rep, corrupted(3), spec) == clean
+    assert not compare_ensemble_vs_lindblad(rep, corrupted(2), spec)["pass"]
+
+
 def test_compare_zero_noise_differences_vanish(cat):
     spec = NoiseSpec(nu=0.0, seed=2)
     cfg = EvolverConfig(dt=0.05, n_steps=10, record_every=5)
@@ -915,3 +936,40 @@ def test_lindblad_aborts_on_the_initial_tail(grid):
         lindblad_evolve(f0, Constant(0.0), NoiseSpec(nu=0.1), CORNER_CFG)
     assert err.value.step == 1
     assert err.value.fraction == boundary_fraction(f0.values)
+
+
+def off_diagonal_peak(grid):
+    # Hermitian, minimum eigenvalue -0.999: its tail is 1e-3, but the noise
+    # damps the peak off the diagonal until the corner cell is the peak
+    values = np.zeros((grid.n_points,) * 2, dtype=complex)
+    values[8, 9] = values[9, 8] = 1.0
+    values[0, 0] = values[8, 8] = values[9, 9] = 1e-3
+    return DensityGrid(grid, values)
+
+
+def zero_diagonal(grid):
+    values = np.zeros((grid.n_points,) * 2, dtype=complex)
+    values[0, 1] = values[1, 0] = 1.0
+    return DensityGrid(grid, values)
+
+
+@pytest.mark.parametrize(
+    "state, bound", [(off_diagonal_peak, 1.0), (zero_diagonal, np.inf)],
+    ids=["off_diagonal_peak", "zero_diagonal"],
+)
+def test_closed_forms_bound_the_tail_by_the_diagonal(state, bound):
+    # the diagonal never moves and no factor grows a modulus, so
+    # boundary_frame(f0) / max|diag f0| bounds every record's tail
+    f0 = state(GridSpec(16, 4.0))
+    spec = NoiseSpec(1.0)
+    cfg = EvolverConfig(dt=0.5, n_steps=6, record_every=2, tail_threshold=1e-2)
+    with pytest.raises(BoundaryContaminationError) as err:
+        lindblad_evolve(f0, Constant(0.0), spec, cfg)
+    assert type(err.value) is BoundaryContaminationError
+    assert (err.value.step, err.value.fraction) == (1, bound)
+    with pytest.raises(RealizationError) as err:
+        ensemble_evolve(f0, Constant(0.0), spec, 64, cfg)
+    assert err.value.index == 0
+    cause = err.value.__cause__
+    assert isinstance(cause, BoundaryContaminationError)
+    assert (cause.step, cause.fraction) == (1, bound)

@@ -379,30 +379,28 @@ _HEADER_RE = re.compile(
 
 
 def save_state(state, path) -> None:
-    """Write a state as CSV: header line, then ``i,j,re,im`` rows."""
+    """Write a state as CSV: header line, then ``i,j,re,im`` rows.
+
+    Each grid row is formatted and written on its own, so the text held
+    at once is one row's, not the file's; a real state writes 0.0 for im.
+    """
     grid = state.grid
-    vals = np.asarray(state.values, dtype=complex)
-    n = grid.n_points
-    lines = [
-        f"# grid n={n} L={float(grid.half_width)!r} axes={state.axes} "
-        f"time={float(state.time)!r}"
-    ]
-    re_part = vals.real.tolist()
-    im_part = vals.imag.tolist()
-    for i in range(n):
-        row_re = re_part[i]
-        row_im = im_part[i]
-        for j in range(n):
-            lines.append(f"{i},{j},{row_re[j]!r},{row_im[j]!r}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f"# grid n={grid.n_points} L={float(grid.half_width)!r} "
+            f"axes={state.axes} time={float(state.time)!r}\n"
+        )
+        for i, row in enumerate(state.values):
+            cells = enumerate(zip(row.real.tolist(), row.imag.tolist()))
+            fh.write("".join(f"{i},{j},{re!r},{im!r}\n" for j, (re, im) in cells))
 
 
 def load_state(path):
     """Read a state written by :func:`save_state`.
 
     The header's ``L`` and ``time`` must be finite numbers and the body
-    must hold one ``i,j,re,im`` row per grid cell, else ``ConfigError``.
+    must hold one ``i,j,re,im`` row per grid cell, with ``im`` zero for a
+    real (x, p) state, else ``ConfigError``.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -435,5 +433,7 @@ def load_state(path):
     if not seen.all():
         raise ConfigError(f"state file holds {seen.sum()} of {n * n} cells")
     if kind.dtype is float:
-        vals = vals.real  # written with a zero imaginary column
+        if vals.imag.any():
+            raise ConfigError(f"axes {kind.axes} hold real values, but an im is nonzero")
+        vals = vals.real
     return kind(GridSpec(n, half_width), vals, time)

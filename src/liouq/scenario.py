@@ -25,6 +25,7 @@ from .grids import (
     DensityGrid,
     GridSpec,
     PhaseSpaceDistribution,
+    boundary_fraction,
     make_cat_density,
     make_gaussian_phase_space,
     xp_to_Qq,
@@ -85,7 +86,11 @@ _POLYNOMIALS = {  # potential.kind -> (constructor, the key it takes)
     "quartic": (Quartic, "potential.params.lam"),
     "polynomial": (lambda coeffs: Polynomial(tuple(coeffs)), "potential.coeffs"),
 }
-_STATE_KINDS = ("gaussian", "cat")
+_STATE_KEYS = {  # state.kind -> the keys its constructor takes, besides the grid
+    "gaussian": ("state.x0", "state.p0", "state.sigma_x", "state.sigma_p"),
+    "cat": ("state.separation", "state.sigma_x", "state.p0"),
+}
+_STATE_KINDS = tuple(_STATE_KEYS)
 
 
 def parse_scenario_text(text: str) -> dict:
@@ -221,23 +226,32 @@ class Scenario:
     def build_initial_xp(self) -> PhaseSpaceDistribution:
         if self["state.kind"] != "gaussian":
             raise ConfigError("phase-space initial states must be gaussian")
-        keys = ("state.x0", "state.p0", "state.sigma_x", "state.sigma_p")
+        keys = _STATE_KEYS["gaussian"]
         grid = self.build_grid()
         with self._bad_keys("initial state", *keys, "grid.n", "grid.L"):
             return make_gaussian_phase_space(*(self[key] for key in keys), grid)
 
     def build_initial_density(self) -> DensityGrid:
         if self["state.kind"] == "gaussian":
-            return xp_to_Qq(self.build_initial_xp())
-        grid = self.build_grid()
-        keys = ("state.separation", "state.sigma_x", "state.p0")
+            return self.checked_density(xp_to_Qq(self.build_initial_xp()))
+        keys = _STATE_KEYS["cat"]  # make_cat_density's order: separation, sigma, momentum
         with self._bad_keys("initial state", *keys, "grid.n", "grid.L"):
-            return make_cat_density(
-                grid,
-                self["state.separation"],
-                self["state.sigma_x"],
-                momentum=self["state.p0"],
-            )
+            f0 = make_cat_density(self.build_grid(), *(self[key] for key in keys))
+        return self.checked_density(f0)
+
+    def checked_density(self, f0: DensityGrid) -> DensityGrid:
+        """``f0``, once its boundary tail is within ``evolve.tail_threshold``.
+
+        The engines abort on a tail over that threshold, so an initial
+        state over it is a bad value of the state's keys (``ConfigError``)
+        rather than a run that aborts at step 1.
+        """
+        keys = (*_STATE_KEYS[self["state.kind"]], "grid.n", "grid.L", "evolve.tail_threshold")
+        with self._bad_keys("initial state", *keys):
+            tail = boundary_fraction(f0.values)
+            if tail > self["evolve.tail_threshold"]:
+                raise DomainError(f"(Q, q) boundary tail {tail:.3e} over the threshold")
+        return f0
 
     def build_evolver_config(self) -> EvolverConfig:
         dt = self["evolve.dt"]

@@ -170,7 +170,7 @@ def run_equivalence_study(scenario: Scenario):
     v = _stepped_potential(scenario)
     cfg = scenario.build_evolver_config()
     f0_xp = scenario.build_initial_xp()
-    f0_qq = xp_to_Qq(f0_xp)
+    f0_qq = scenario.checked_density(xp_to_Qq(f0_xp))
 
     _check_dt_guard(cfg, grid)
     # the filter list is process-wide, so it covers the second thread, and
@@ -183,19 +183,17 @@ def run_equivalence_study(scenario: Scenario):
         )
 
     times = classical.times
-    classical_qq = [xp_to_Qq(state).values for state in classical.states]
-    pairs = {
-        "classical_vs_vonneumann": (classical_qq, [s.values for s in quantum.states]),
-        "classical_vs_qq": (classical_qq, [s.values for s in coupled.states]),
-        "qq_vs_vonneumann": (
-            [s.values for s in coupled.states],
-            [s.values for s in quantum.states],
-        ),
-    }
+    names = ("classical_vs_vonneumann", "classical_vs_qq", "qq_vs_vonneumann")
+    rows = {name: [] for name in names}
+    # one classical record at a time: the whole trajectory in (Q, q) would
+    # set the study's peak memory
+    for cl, vn, qq in zip(classical.states, quantum.states, coupled.states):
+        cl, vn, qq = xp_to_Qq(cl).values, vn.values, qq.values
+        for name, a, b in zip(names, (cl, cl, qq), (vn, qq, vn)):
+            rows[name].append(_pairwise_distance(a, b, grid.spacing))
     tables = {}
-    for name, (seq_a, seq_b) in pairs.items():
-        rows = [_pairwise_distance(a, b, grid.spacing) for a, b in zip(seq_a, seq_b)]
-        maxnorm, l2 = (list(col) for col in zip(*rows))
+    for name in names:
+        maxnorm, l2 = (list(col) for col in zip(*rows[name]))
         tables[f"distance_{name}"] = {"t": times, "maxnorm": maxnorm, "l2": l2}
 
     report = RunReport(

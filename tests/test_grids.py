@@ -1,5 +1,7 @@
 """Grid containers, transforms, state invariants, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,14 +327,16 @@ def _header(old, new):
         _header("L=4.0", "L=inf"),
         _header("time=0.0", "time=later"),
         _header("time=0.0", "time=nan"),
+        lambda lines: [lines[0].replace("axes=Q,q", "axes=x,p")] + lines[1:-1] + ["7,7,1.0,1.5"],
     ],
     ids=["truncated", "padded", "cell_twice", "row_9", "row_minus_1", "three_fields",
          "not_a_number", "L_not_a_number", "L_infinite", "time_not_a_number",
-         "time_nan"],
+         "time_nan", "xp_imaginary"],
 )
 def test_load_state_rejects_a_malformed_body(tmp_path, edit):
     # the body must be exactly n^2 rows i,j,re,im on distinct cells of the
-    # grid, and the header's L and time finite numbers
+    # grid, with im zero in an x,p file, and the header's L and time finite
+    # numbers
     path = tmp_path / "state.csv"
     lq.save_state(DensityGrid(GridSpec(8, 4.0), np.eye(8)), path)
     lines = path.read_text().splitlines()
@@ -341,6 +345,65 @@ def test_load_state_rejects_a_malformed_body(tmp_path, edit):
     path.write_text("\n".join(edit(lines)) + "\n")
     with pytest.raises(ConfigError):
         load_state(path)
+
+
+def _joined_writer(state, path):
+    """The whole-file writer save_state replaced: every row, then one join."""
+    grid = state.grid
+    vals = np.asarray(state.values, dtype=complex)
+    n = grid.n_points
+    lines = [
+        f"# grid n={n} L={float(grid.half_width)!r} axes={state.axes} "
+        f"time={float(state.time)!r}"
+    ]
+    re_part = vals.real.tolist()
+    im_part = vals.imag.tolist()
+    for i in range(n):
+        for j in range(n):
+            lines.append(f"{i},{j},{re_part[i][j]!r},{im_part[i][j]!r}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+# -0.0, the least subnormal, a value repr writes with an exponent, one it
+# writes in full, and a 17-digit mantissa
+EDGE_VALUES = [-0.0, 5e-324, 1e-5, 1e16, 0.30000000000000004]
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("kind", [PhaseSpaceDistribution, XYGrid, DensityGrid],
+                         ids=lambda k: k.__name__)
+def test_save_state_matches_the_joined_writer_byte_for_byte(tmp_path, n, kind):
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((n, n))
+    if kind.dtype is complex:
+        vals = vals + 1j * rng.standard_normal((n, n))
+        vals.imag[1, :5] = EDGE_VALUES
+    vals[0, :5] = EDGE_VALUES
+    state = kind(GridSpec(n, 3.7), vals, 0.1 + 0.2)
+    lq.save_state(state, tmp_path / "streamed.csv")
+    _joined_writer(state, tmp_path / "joined.csv")
+    streamed = (tmp_path / "streamed.csv").read_bytes()
+    assert streamed == (tmp_path / "joined.csv").read_bytes()
+    assert b"0,0,-0.0," in streamed and b",5e-324," in streamed
+    assert np.array_equal(load_state(tmp_path / "streamed.csv").values, state.values)
+
+
+@pytest.mark.parametrize("kind", [PhaseSpaceDistribution, DensityGrid],
+                         ids=lambda k: k.__name__)
+def test_save_state_holds_one_row_of_text(tmp_path, kind):
+    # the joined writer's traced peak at n=256 is 17.4 MB for a (Q, q) state
+    # and 14.9 MB for an (x, p) one
+    n = 256
+    rng = np.random.default_rng(0)
+    state = kind(GridSpec(n, 8.0), rng.standard_normal((n, n)))
+    tracemalloc.start()
+    try:
+        lq.save_state(state, tmp_path / "state.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25e6
 
 
 def test_serialization_header_format(tmp_path, gaussian64):

@@ -529,6 +529,43 @@ def test_cli_state_that_does_not_fit_is_config_error(tmp_path, capsys, command, 
                      "--out", str(tmp_path / "specout")]) == 0
 
 
+# a pure Gaussian whose (x, p) tail, 1.9e-19, passes the build check, while
+# its (Q, q) image's, 4.32e-10, is over the default evolve.tail_threshold
+GAUSSIAN_TAIL_OVER = CAT.replace(
+    "state.kind = cat\nstate.separation = 4.0\nstate.sigma_x = 0.7",
+    "state.x0 = 0.4\nstate.sigma_x = 1.0\nstate.sigma_p = 0.5",
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, tail",
+    [
+        ("decohere", GAUSSIAN_TAIL_OVER, "4.320e-10"),
+        ("compare", GAUSSIAN_TAIL_OVER, "4.320e-10"),
+        ("evolve", GAUSSIAN_TAIL_OVER, "4.320e-10"),
+        ("decohere", CAT + "evolve.tail_threshold = 1e-50\n", "8.100e-14"),
+    ],
+    ids=["decohere", "compare", "evolve", "decohere_cat"],
+)
+def test_cli_initial_tail_over_the_threshold_is_config_error(
+    tmp_path, capsys, command, text, tail
+):
+    # each aborted at step 1 with a runtime error (exit 3) when only the
+    # engines read the (Q, q) tail
+    rc = main([command, "--scenario", write(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: no valid initial state from" in err
+    assert f"boundary tail {tail}" in err
+    assert all(key in err for key in ("state.sigma_x", "grid.L", "evolve.tail_threshold"))
+    assert not (tmp_path / "out").exists()
+    # the classical engine monitors (x, y), where the tail is 1.1e-16
+    if command == "evolve":
+        with pytest.warns(TimeStepWarning):
+            assert main(["evolve", "--engine", "classical", "--scenario",
+                         write(tmp_path, text), "--out", str(tmp_path / "classical")]) == 0
+
+
 def _potential(kind_lines: str, extra: str = "") -> str:
     return HARMONIC.replace(
         "potential.kind = harmonic\npotential.params.omega = 1.0", kind_lines
@@ -627,13 +664,20 @@ def test_cli_non_finite_or_negative_value_is_config_error(tmp_path, capsys, comm
 
 
 def test_cli_edge_bound_run_aborts_on_the_tail(tmp_path, capsys):
-    # the run the threshold cases above would otherwise start
+    # the run the threshold cases above would otherwise start; its initial
+    # (Q, q) tail, 1.035e-06, is over the default threshold, so it starts
+    # under a wider one and aborts at step 11
     rc = main(["compare", "--scenario", write(tmp_path, EDGE_BOUND),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "boundary tail 1.035e-06" in capsys.readouterr().err
+    rc = main(["compare", "--scenario",
+               write(tmp_path, EDGE_BOUND + "evolve.tail_threshold = 1e-5\n"),
                "--out", str(tmp_path / "out")])
     assert rc == 3
     err = capsys.readouterr().err
     assert "runtime error:" in err
-    assert "boundary tail fraction" in err
+    assert "boundary tail fraction 2.150e-05 exceeded threshold 1.000e-05 at step 11" in err
 
 
 def test_cli_seed_rejected_where_unused(tmp_path):

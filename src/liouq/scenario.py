@@ -242,9 +242,9 @@ class Scenario:
     def checked_density(self, f0: DensityGrid) -> DensityGrid:
         """``f0``, once its boundary tail is within ``evolve.tail_threshold``.
 
-        The engines abort on a tail over that threshold, so an initial
-        state over it is a bad value of the state's keys (``ConfigError``)
-        rather than a run that aborts at step 1.
+        The rule: no state an engine returns, ``f0`` included, exceeds the
+        threshold. The stepped engines read only stepped states, so an
+        ``f0`` over it is rejected here, as a bad value of its keys.
         """
         keys = (*_STATE_KEYS[self["state.kind"]], "grid.n", "grid.L", "evolve.tail_threshold")
         with self._bad_keys("initial state", *keys):

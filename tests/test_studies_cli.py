@@ -619,7 +619,8 @@ def test_cli_malformed_potential_is_config_error(tmp_path, capsys, command, text
     assert not (tmp_path / "out").exists()
 
 
-# a quartic run whose packet reaches the box edge within a few steps
+# a quartic run whose packet reaches the box edge within a few steps; its
+# initial (Q, q) tail, 1.035e-06, is within the widened threshold
 EDGE_BOUND = """
 grid.n = 64
 grid.L = 8.0
@@ -628,51 +629,60 @@ potential.params.lam = 0.25
 state.x0 = 2.5
 evolve.dt = 0.005
 evolve.t_final = 3.0
+evolve.tail_threshold = 1e-5
 """
 
 
+_FINITE = "must hold finite numbers only"
+_POLY = "potential.kind = quartic\npotential.params.lam = 0.25"
+
+
+# each row names the guard that rejects it, so none passes on another's
 @pytest.mark.parametrize(
-    "command, text",
+    "command, text, message",
     [
-        ("compare", EDGE_BOUND + "evolve.tail_threshold = NaN\n"),
-        ("compare", EDGE_BOUND + "evolve.tail_threshold = 0\n"),
-        ("compare", EDGE_BOUND.replace("evolve.dt = 0.005", "evolve.dt = NaN")),
-        ("compare", EDGE_BOUND.replace("evolve.dt = 0.005", "evolve.dt = nan")),
-        ("compare", EDGE_BOUND.replace("lam = 0.25", "lam = Infinity")),
-        ("compare", EDGE_BOUND.replace("grid.n = 64", "grid.n = Infinity")),
-        ("compare", EDGE_BOUND.replace("potential.kind = quartic\npotential.params.lam = 0.25",
-                                       "potential.kind = polynomial\n"
-                                       "potential.coeffs = [0, -Infinity]")),
-        ("compare", EDGE_BOUND.replace("potential.kind = quartic\npotential.params.lam = 0.25",
-                                       "potential.kind = polynomial\n"
-                                       'potential.coeffs = [0, "nan"]')),
-        ("compare", EDGE_BOUND.replace("potential.kind = quartic\npotential.params.lam = 0.25",
-                                       "potential.kind = polynomial\n"
-                                       f"potential.coeffs = [0, {10**400}]")),
-        ("decohere", CAT.replace("noise.nu0 = 1.0", "noise.nu0 = -1.0")),
+        ("compare", EDGE_BOUND.replace("tail_threshold = 1e-5", "tail_threshold = NaN"),
+         f"'evolve.tail_threshold' {_FINITE}"),
+        ("compare", EDGE_BOUND.replace("tail_threshold = 1e-5", "tail_threshold = 0"),
+         "tail_threshold must be positive"),
+        ("compare", EDGE_BOUND.replace("evolve.dt = 0.005", "evolve.dt = NaN"),
+         f"'evolve.dt' {_FINITE}"),
+        ("compare", EDGE_BOUND.replace("evolve.dt = 0.005", "evolve.dt = nan"),
+         f"'evolve.dt' {_FINITE}"),
+        ("compare", EDGE_BOUND.replace("lam = 0.25", "lam = Infinity"),
+         f"'potential.params.lam' {_FINITE}"),
+        ("compare", EDGE_BOUND.replace("grid.n = 64", "grid.n = Infinity"),
+         "key 'grid.n': expected int, got inf"),
+        ("compare", EDGE_BOUND.replace(_POLY, "potential.kind = polynomial\n"
+                                              "potential.coeffs = [0, -Infinity]"),
+         f"'potential.coeffs' {_FINITE}"),
+        ("compare", EDGE_BOUND.replace(_POLY, "potential.kind = polynomial\n"
+                                              'potential.coeffs = [0, "nan"]'),
+         f"'potential.coeffs' {_FINITE}"),
+        ("compare", EDGE_BOUND.replace(_POLY, "potential.kind = polynomial\n"
+                                              f"potential.coeffs = [0, {10**400}]"),
+         f"'potential.coeffs' {_FINITE}"),
+        ("decohere", CAT.replace("noise.nu0 = 1.0", "noise.nu0 = -1.0"),
+         "noise.nu0 must be >= 0"),
     ],
     ids=["nan_tail", "zero_tail", "nan_dt", "bare_nan_dt", "inf_float", "inf_int",
          "inf_in_list", "string_in_list", "int_past_float_in_list", "negative_nu0"],
 )
-def test_cli_non_finite_or_negative_value_is_config_error(tmp_path, capsys, command, text):
+def test_cli_non_finite_or_negative_value_is_config_error(
+    tmp_path, capsys, command, text, message
+):
     rc = main([command, "--scenario", write(tmp_path, text), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err
+    assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
 def test_cli_edge_bound_run_aborts_on_the_tail(tmp_path, capsys):
-    # the run the threshold cases above would otherwise start; its initial
-    # (Q, q) tail, 1.035e-06, is over the default threshold, so it starts
-    # under a wider one and aborts at step 11
+    # the run the cases above would otherwise start
     rc = main(["compare", "--scenario", write(tmp_path, EDGE_BOUND),
-               "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "boundary tail 1.035e-06" in capsys.readouterr().err
-    rc = main(["compare", "--scenario",
-               write(tmp_path, EDGE_BOUND + "evolve.tail_threshold = 1e-5\n"),
                "--out", str(tmp_path / "out")])
     assert rc == 3
     err = capsys.readouterr().err

@@ -22,13 +22,7 @@ if "numpy" not in _sys.modules:  # BLAS reads these once, when numpy loads it
         _os.environ.setdefault(_var, "1")
 
 from .causet import SprinkleRegion, VoidEstimate, void_probability_mc
-from .errors import (
-    BoundaryContaminationError,
-    ConfigError,
-    DomainError,
-    LiouqError,
-    RealizationError,
-)
+from .errors import BoundaryContaminationError, ConfigError, DomainError, LiouqError
 from .evolvers import (
     EvolverConfig,
     TimeStepWarning,

@@ -25,10 +25,3 @@ class BoundaryContaminationError(LiouqError):
             f"{threshold:.3e} at step {step}"
         )
 
-
-class RealizationError(LiouqError):
-    """An ensemble realization failed; carries the realization index."""
-
-    def __init__(self, index: int, cause: Exception):
-        self.index = index
-        super().__init__(f"realization {index} failed: {cause}")

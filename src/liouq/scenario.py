@@ -232,20 +232,18 @@ class Scenario:
             return make_gaussian_phase_space(*(self[key] for key in keys), grid)
 
     def build_initial_density(self) -> DensityGrid:
-        if self["state.kind"] == "gaussian":
-            return self.checked_density(xp_to_Qq(self.build_initial_xp()))
-        keys = _STATE_KEYS["cat"]  # make_cat_density's order: separation, sigma, momentum
-        with self._bad_keys("initial state", *keys, "grid.n", "grid.L"):
-            f0 = make_cat_density(self.build_grid(), *(self[key] for key in keys))
-        return self.checked_density(f0)
-
-    def checked_density(self, f0: DensityGrid) -> DensityGrid:
-        """``f0``, once its boundary tail is within ``evolve.tail_threshold``.
+        """The (Q, q) initial state; its tail must be within ``evolve.tail_threshold``.
 
         The rule: no state an engine returns, ``f0`` included, exceeds the
         threshold. The stepped engines read only stepped states, so an
         ``f0`` over it is rejected here, as a bad value of its keys.
         """
+        if self["state.kind"] == "gaussian":
+            f0 = xp_to_Qq(self.build_initial_xp())
+        else:
+            keys = _STATE_KEYS["cat"]  # make_cat_density's order: separation, sigma, momentum
+            with self._bad_keys("initial state", *keys, "grid.n", "grid.L"):
+                f0 = make_cat_density(self.build_grid(), *(self[key] for key in keys))
         keys = (*_STATE_KEYS[self["state.kind"]], "grid.n", "grid.L", "evolve.tail_threshold")
         with self._bad_keys("initial state", *keys):
             tail = boundary_fraction(f0.values)
@@ -256,6 +254,8 @@ class Scenario:
     def build_evolver_config(self) -> EvolverConfig:
         dt = self["evolve.dt"]
         t_final = self["evolve.t_final"]
+        if not math.isfinite(t_final / dt):
+            raise ConfigError("evolve.t_final / evolve.dt is past the float range")
         n_steps = int(round(t_final / dt))
         if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(t_final, 1.0):
             raise ConfigError("evolve.t_final must be a positive multiple of evolve.dt")

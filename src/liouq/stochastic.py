@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundaryContaminationError,
-    ConfigError,
-    DomainError,
-    RealizationError,
-)
+from .errors import BoundaryContaminationError, ConfigError, DomainError
 from .evolvers import (
     EvolverConfig,
     Trajectory,
@@ -186,17 +181,11 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     each record's sums into its mean in place, one record after another.
     A run makes one thread start, whatever M and the number of records.
 
-    Raises ``RealizationError`` for the first failing realization: 0
-    with ``_frozen_walk``'s ``BoundaryContaminationError`` or
-    ``DomainError`` (the tail bound, a non-finite potential phase), else a
-    ``DomainError`` for a non-finite noise row (the smallest such k:
-    each thread stops at its first one, and every block below the
-    smaller was checked by its owner).
+    Raises ``_frozen_walk``'s errors bare, as ``lindblad_evolve`` does,
+    and ``DomainError`` for a non-finite noise row, naming nu's largest
+    value: each thread stops at its first bad block.
     """
-    try:
-        steps, phases = _frozen_walk(f0, V, cfg)
-    except (BoundaryContaminationError, DomainError) as cause:
-        raise RealizationError(0, cause) from cause
+    steps, phases = _frozen_walk(f0, V, cfg)
     grid = f0.grid
     n = grid.n_points
     profile = spec.nu_on_grid(grid)
@@ -205,15 +194,15 @@ def _closed_form_moments(f0, V, spec, M, cfg):
     mean[0] = f0.values
     first = np.zeros((len(steps), n), dtype=complex)
 
-    def accumulate(blocks: range, sums) -> int | None:
-        # adds the blocks to the sums; the first non-finite row's k stops it
+    def accumulate(blocks: range, sums) -> None:
+        # adds the blocks to the sums; the first non-finite block stops it
         pair_sum, first_sum = sums
         for start in blocks:
             ks = range(start, min(start + _BLOCK, M))
-            dv = profile * normal_rows(spec.seed, ks, n)
-            finite = np.isfinite(dv).all(axis=1)
-            if not finite.all():
-                return ks[int(np.argmin(finite))]
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                dv = profile * normal_rows(spec.seed, ks, n)
+            if not np.isfinite(dv).all():
+                raise DomainError(f"noise field is not finite (nu up to {profile.max():.3e})")
             b_gap = {g: _phase_minus_one((g * cfg.dt) * dv) for g in set(gaps)}
             b = np.zeros_like(b_gap[gaps[0]])
             update = np.empty_like(b)
@@ -224,18 +213,13 @@ def _closed_form_moments(f0, V, spec, M, cfg):
                 b += update
                 pair_sum[r] += b.T @ b.conj()
                 first_sum[r] += b.sum(axis=0)
-        return None
 
     blocks = range(0, M, _BLOCK)
     theirs = (np.zeros_like(mean[1:]), np.zeros_like(first))
-    found = _beside(
+    _beside(
         lambda: accumulate(blocks[1::2], theirs),
         lambda: accumulate(blocks[0::2], (mean[1:], first)),
     )
-    found = [k for k in found if k is not None]
-    if found:
-        cause = DomainError("noise field is not finite")
-        raise RealizationError(min(found), cause) from cause
     # sums start at +0.0 and never become -0.0, so adding a job's untouched
     # zeros (one block) leaves the caller's sums bit for bit as they were
     mean[1:] += theirs[0]
@@ -296,8 +280,11 @@ def ensemble_evolve(
     the buffer that held the sums, and the standard errors, in the one
     that held M2.  Each mean state carries its record's time, which
     ``EnsembleReport.times`` reads.  The diagonal keeps f0's values
-    exactly.  Raises ``RealizationError`` when ``_frozen_walk``'s tail
-    bound is over the limit or a phase is not finite.
+    exactly.  Raises ``_frozen_walk``'s errors bare, as ``lindblad_evolve``
+    does (``BoundaryContaminationError`` at step 1 when its tail bound is
+    over the limit, ``DomainError`` for a non-finite potential phase),
+    ``DomainError`` for a noise field that is not finite, and
+    ``ConfigError`` for M < 2.
     """
     if M < 2:
         raise ConfigError("need M >= 2 realizations for error bars")

@@ -170,7 +170,7 @@ def run_equivalence_study(scenario: Scenario):
     v = _stepped_potential(scenario)
     cfg = scenario.build_evolver_config()
     f0_xp = scenario.build_initial_xp()
-    f0_qq = scenario.checked_density(xp_to_Qq(f0_xp))
+    f0_qq = scenario.build_initial_density()
 
     _check_dt_guard(cfg, grid)
     # the filter list is process-wide, so it covers the second thread, and

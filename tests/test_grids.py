@@ -328,15 +328,17 @@ def _header(old, new):
         _header("time=0.0", "time=later"),
         _header("time=0.0", "time=nan"),
         lambda lines: [lines[0].replace("axes=Q,q", "axes=x,p")] + lines[1:-1] + ["7,7,1.0,1.5"],
+        lambda lines: ["garbage"] + lines[1:],
+        _header("axes=Q,q", "axes=a,b"),
     ],
     ids=["truncated", "padded", "cell_twice", "row_9", "row_minus_1", "three_fields",
          "not_a_number", "L_not_a_number", "L_infinite", "time_not_a_number",
-         "time_nan", "xp_imaginary"],
+         "time_nan", "xp_imaginary", "header_garbage", "axes_unknown"],
 )
 def test_load_state_rejects_a_malformed_body(tmp_path, edit):
     # the body must be exactly n^2 rows i,j,re,im on distinct cells of the
-    # grid, with im zero in an x,p file, and the header's L and time finite
-    # numbers
+    # grid, with im zero in an x,p file, and the header must name known axes
+    # and finite numbers for L and time
     path = tmp_path / "state.csv"
     lq.save_state(DensityGrid(GridSpec(8, 4.0), np.eye(8)), path)
     lines = path.read_text().splitlines()

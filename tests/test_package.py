@@ -1,6 +1,7 @@
 """Package namespace, module imports and the runnable scripts in ``scripts/``."""
 
 import ast
+import builtins
 import inspect
 import os
 import re
@@ -35,6 +36,16 @@ def test_readme_api_names_are_exported():
     called |= set(re.findall(r"`(\w+)\(", section))
     assert {"ensemble_evolve", "EvolverConfig", "NoiseSpec"} <= called
     assert sorted(called - set(liouq.__all__)) == []
+
+
+def test_readme_camel_case_names_exist():
+    # prose too: a backticked CamelCase name is the package's, a builtin such
+    # as TypeError, or a JSON literal such as NaN
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    names = {name for span in spans for name in re.findall(r"\b[A-Z][a-z0-9]+[A-Z]\w*", span)}
+    assert {"EnsembleReport", "TypeError", "NaN"} <= names
+    known = set(liouq.__all__) | set(dir(builtins)) | {"NaN", "Infinity"}
+    assert sorted(names - known) == []
 
 
 def test_readme_evolver_config_signature_is_the_code():

@@ -143,6 +143,9 @@ def test_validation_happens_before_compute():
         scenario_from_text(MINIMAL + "evolve.engine = magic\n")
 
 
+_STEPS = "evolve.t_final / evolve.dt is past the float range"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -151,8 +154,17 @@ def test_validation_happens_before_compute():
         (MINIMAL + "evolve.t_final = 0.0\n", "t_final must be a positive multiple"),
         (MINIMAL + "evolve.t_final = -1.0\n", "t_final must be a positive multiple"),
         (MINIMAL + "evolve.record_every = -1\n", "record_every must be at least 1"),
+        (MINIMAL + "evolve.dt = 1e-300\nevolve.t_final = 1e300\n", _STEPS),
+        (MINIMAL + "evolve.dt = 5e-324\nevolve.t_final = 1.0\n", _STEPS),
+        ("potential.kind = linear\n",
+         "potential.params.a is required for potential.kind='linear'"),
+        # these by _validate's own checks, or by the parser
+        (MINIMAL + "state.kind = blob\n", "state.kind must be one of"),
+        (MINIMAL + "ensemble.realizations = 1\n", "ensemble.realizations must be >= 2"),
+        (" = 3\n", "line 1: empty key"),
     ],
-    ids=["kind", "t_final-zero", "t_final-negative", "record_every"],
+    ids=["kind", "t_final-zero", "t_final-negative", "record_every", "step_count_overflows",
+         "denormal_dt", "linear_without_a", "state_kind", "realizations", "empty_key"],
 )
 def test_builders_reject_at_load_time(text, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -3,6 +3,7 @@
 import dataclasses
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,12 +32,7 @@ from liouq import (
     step_schedule,
     von_neumann_evolve,
 )
-from liouq.errors import (
-    BoundaryContaminationError,
-    ConfigError,
-    DomainError,
-    RealizationError,
-)
+from liouq.errors import BoundaryContaminationError, ConfigError, DomainError
 from liouq import evolvers, stochastic
 from liouq.evolvers import TimeStepWarning, _check_tail, _record_steps
 from liouq.grids import boundary_fraction
@@ -174,10 +170,7 @@ def _stepped_moments(f0, V, spec, M, cfg):
     mean = m2 = times = None
     for k in range(M):
         dv = sample_noise(spec, f0.grid, k)
-        try:
-            times, states = _frozen_steps(f0, V, dv[:, None] - dv[None, :], cfg)
-        except Exception as exc:  # annotate with the realization index
-            raise RealizationError(k, exc) from exc
+        times, states = _frozen_steps(f0, V, dv[:, None] - dv[None, :], cfg)
         if mean is None:
             mean = np.zeros((len(times),) + f0.values.shape, dtype=complex)
             m2 = np.zeros(mean.shape)
@@ -367,12 +360,10 @@ def test_closed_form_leaves_no_thread(cat, monkeypatch, case):
     if case == "normal":
         run()
     else:
-        with pytest.raises(RealizationError) as err:
+        cause = {"tail_alarm": BoundaryContaminationError,
+                 "non_finite_phase": DomainError}[case]
+        with pytest.raises(cause):
             run()
-        index, cause = {"tail_alarm": (0, BoundaryContaminationError),
-                        "non_finite_phase": (_BLOCK + 3, DomainError)}[case]
-        assert err.value.index == index
-        assert isinstance(err.value.__cause__, cause)
     assert threading.active_count() == before
 
 
@@ -446,16 +437,17 @@ def test_block_split_matches_the_sequential_oracle(cat, grid):
 
 
 @pytest.mark.parametrize(
-    "bad, index",
+    "bad",
     [
-        ((_BLOCK + 9, 2 * _BLOCK + 1), _BLOCK + 9),  # the job's block 1, then block 2
-        ((2 * _BLOCK + 5, 3 * _BLOCK + 2), 2 * _BLOCK + 5),  # block 2, then the job's 3
+        (_BLOCK + 9, 2 * _BLOCK + 1),  # the job's block 1, then block 2
+        (2 * _BLOCK + 5, 3 * _BLOCK + 2),  # block 2, then the job's 3
     ],
     ids=["odd_block_first", "even_block_first"],
 )
-def test_closed_form_names_the_smallest_bad_realization(cat, monkeypatch, bad, index):
-    # each thread stops at its first non-finite row; every block below the
-    # smaller one was checked by its owner
+def test_closed_form_names_the_smallest_bad_realization(cat, monkeypatch, bad):
+    # each thread stops at its first non-finite block; the error names nu,
+    # not a realization, since a nu that overflows the field fails every
+    # realization alike
     real, drawn = stochastic.normal_rows, []
 
     def rows(seed, ks, n):
@@ -469,14 +461,23 @@ def test_closed_form_names_the_smallest_bad_realization(cat, monkeypatch, bad, i
     monkeypatch.setattr(stochastic, "normal_rows", rows)
     cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1)
     before = threading.active_count()
-    with pytest.raises(RealizationError) as err:
+    with pytest.raises(DomainError, match="noise field is not finite"):
         ensemble_evolve(cat, Constant(0.0), NoiseSpec(nu=1.0, seed=3), 6 * _BLOCK, cfg)
-    assert err.value.index == index
-    assert isinstance(err.value.__cause__, DomainError)
     assert threading.active_count() == before
     # neither thread drew past its own bad block
     last = {k // _BLOCK for k in bad}
     assert set(drawn) == set(range(max(last) + 1))
+
+
+def test_noise_past_the_float_range_is_domain_error(cat):
+    # nu times a normal deviate past 1.8 overflows, so every block fails
+    # alike (both threads' here); the error names nu, and no overflow warns
+    cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match=r"not finite \(nu up to 1\.000e\+308\)"):
+            ensemble_evolve(cat, Constant(0.0), NoiseSpec(1e308), 2 * _BLOCK, cfg)
+    assert caught == []
 
 
 def test_closed_form_keeps_its_sums_in_the_means_buffer():
@@ -510,36 +511,39 @@ def test_closed_form_keeps_its_sums_in_the_means_buffer():
     ],
 )
 def test_closed_form_errors_match_stepped_oracle(f0, V, cause):
+    # the ensemble raises what lindblad_evolve raises, bare
     spec = NoiseSpec(nu=1.0, seed=3)
     cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2)
     errors = []
     for run in (
         lambda: ensemble_evolve(f0, V, spec, 5, cfg),
+        lambda: lindblad_evolve(f0, V, spec, cfg),
         lambda: stepped_oracle(f0, V, spec, 5, cfg),
     ):
-        with np.errstate(invalid="ignore"), pytest.raises(RealizationError) as err:
+        with np.errstate(invalid="ignore"), pytest.raises(cause) as err:
             run()
-        assert err.value.index == 0
-        assert isinstance(err.value.__cause__, cause)
-        errors.append(err.value.__cause__)
+        assert type(err.value) is cause
+        errors.append(err.value)
+    assert str(errors[0]) == str(errors[1])
     if cause is BoundaryContaminationError:
-        assert errors[0].step == errors[1].step == 1
+        assert errors[0].step == errors[2].step == 1
 
 
 @pytest.mark.parametrize(
-    "f0, V",
+    "f0, V, cause",
     [
-        (DensityGrid(GridSpec(32, 10.0), np.ones((32, 32))), Constant(0.0)),
-        (make_cat_density(GridSpec(32, 10.0), 4.0, 0.7), Constant(np.inf)),
+        (DensityGrid(GridSpec(32, 10.0), np.ones((32, 32))), Constant(0.0),
+         BoundaryContaminationError),
+        (make_cat_density(GridSpec(32, 10.0), 4.0, 0.7), Constant(np.inf), DomainError),
     ],
     ids=["tail_alarm", "non_finite_phase"],
 )
-def test_closed_form_raises_without_stepping(f0, V, monkeypatch):
+def test_closed_form_raises_without_stepping(f0, V, cause, monkeypatch):
     # the closed form is the only ensemble path: it raises its own errors
     calls = []
     monkeypatch.setattr(evolvers, "_strang", lambda *args: calls.append(args))
     cfg = EvolverConfig(dt=0.1, n_steps=4, record_every=2)
-    with np.errstate(invalid="ignore"), pytest.raises(RealizationError):
+    with np.errstate(invalid="ignore"), pytest.raises(cause):
         ensemble_evolve(f0, V, NoiseSpec(nu=1.0, seed=3), 5, cfg)
     assert calls == []
 
@@ -919,21 +923,21 @@ def corner_packet(grid):
 CORNER_CFG = EvolverConfig(dt=0.01, n_steps=400, record_every=400)
 
 
-def test_realization_error_carries_index(grid):
-    # a packet rolled onto the box corner makes every realization fail
-    # alike, so the error names the first
-    spec = NoiseSpec(nu=0.1, seed=1)
-    with pytest.raises(RealizationError) as err:
-        ensemble_evolve(corner_packet(grid), Constant(0.0), spec, 2, CORNER_CFG)
-    assert err.value.index == 0
-    assert isinstance(err.value.__cause__, BoundaryContaminationError)
-
-
-def test_lindblad_aborts_on_the_initial_tail(grid):
-    # the ensemble's tail rule: f0's tail bounds every record's
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f0, spec: lindblad_evolve(f0, Constant(0.0), spec, CORNER_CFG),
+        lambda f0, spec: ensemble_evolve(f0, Constant(0.0), spec, 2, CORNER_CFG),
+    ],
+    ids=["lindblad", "ensemble"],
+)
+def test_lindblad_aborts_on_the_initial_tail(grid, run):
+    # both closed forms' tail rule: f0's tail bounds every record's, so a
+    # packet rolled onto the box corner aborts at step 1, before any noise
     f0 = corner_packet(grid)
     with pytest.raises(BoundaryContaminationError) as err:
-        lindblad_evolve(f0, Constant(0.0), NoiseSpec(nu=0.1), CORNER_CFG)
+        run(f0, NoiseSpec(nu=0.1, seed=1))
+    assert type(err.value) is BoundaryContaminationError
     assert err.value.step == 1
     assert err.value.fraction == boundary_fraction(f0.values)
 
@@ -967,9 +971,8 @@ def test_closed_forms_bound_the_tail_by_the_diagonal(state, bound):
         lindblad_evolve(f0, Constant(0.0), spec, cfg)
     assert type(err.value) is BoundaryContaminationError
     assert (err.value.step, err.value.fraction) == (1, bound)
-    with pytest.raises(RealizationError) as err:
+    with pytest.raises(BoundaryContaminationError) as again:
         ensemble_evolve(f0, Constant(0.0), spec, 64, cfg)
-    assert err.value.index == 0
-    cause = err.value.__cause__
-    assert isinstance(cause, BoundaryContaminationError)
-    assert (cause.step, cause.fraction) == (1, bound)
+    assert type(again.value) is BoundaryContaminationError
+    assert str(again.value) == str(err.value)
+    assert (again.value.step, again.value.fraction) == (1, bound)

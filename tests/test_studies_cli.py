@@ -2,6 +2,7 @@
 
 import json
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -503,8 +504,11 @@ SPECTRUM_SMALL = (
 )
 
 
+_PHASE_SPACE = ("phase-space initial states must be gaussian",)
+
+
 @pytest.mark.parametrize(
-    "command, text, keys",
+    "command, text, expected",
     [
         ("evolve", SPECTRUM_SMALL, ("state.sigma_x", "grid.n", "grid.L")),
         ("compare", SPECTRUM_SMALL, ("state.sigma_x", "grid.n", "grid.L")),
@@ -513,15 +517,25 @@ SPECTRUM_SMALL = (
         # a momentum half-width near 1e302, whose square a float cannot hold
         ("compare", HARMONIC.replace("grid.L = 8.0", "grid.L = 1e-300")
          .replace("state.x0 = 0.4\n", ""), ("state.sigma_x", "grid.L")),
+        # the classical engine steps (x, p), which only a Gaussian has
+        ("compare", CAT, _PHASE_SPACE),
+        ("evolve --engine classical", CAT, _PHASE_SPACE),
+        ("compare", HARMONIC.replace("state.x0 = 0.4", "state.x0 = 20.0")
+         .replace("grid.L = 8.0", "grid.L = 10.0"),
+         ("state.x0 = 20.0", "grid.L", "gaussian center outside the grid")),
     ],
-    ids=["evolve_gaussian", "compare_gaussian", "decohere_cat", "compare_tiny_box"],
+    ids=["evolve_gaussian", "compare_gaussian", "decohere_cat", "compare_tiny_box",
+         "compare_cat", "classical_cat", "center_outside"],
 )
-def test_cli_state_that_does_not_fit_is_config_error(tmp_path, capsys, command, text, keys):
-    rc = main([command, "--scenario", write(tmp_path, text), "--out", str(tmp_path / "out")])
+def test_cli_state_that_does_not_fit_is_config_error(
+    tmp_path, capsys, command, text, expected
+):
+    rc = main([*command.split(), "--scenario", write(tmp_path, text),
+               "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err
-    assert all(key in err for key in keys)
+    assert all(part in err for part in expected)
     assert not (tmp_path / "out").exists()
     # a study that builds no state still runs on the same file
     if text is SPECTRUM_SMALL:
@@ -635,6 +649,7 @@ evolve.tail_threshold = 1e-5
 
 _FINITE = "must hold finite numbers only"
 _POLY = "potential.kind = quartic\npotential.params.lam = 0.25"
+_STEPS = "evolve.t_final / evolve.dt is past the float range"
 
 
 # each row names the guard that rejects it, so none passes on another's
@@ -664,9 +679,15 @@ _POLY = "potential.kind = quartic\npotential.params.lam = 0.25"
          f"'potential.coeffs' {_FINITE}"),
         ("decohere", CAT.replace("noise.nu0 = 1.0", "noise.nu0 = -1.0"),
          "noise.nu0 must be >= 0"),
+        # t_final / dt is past the float range
+        ("compare", EDGE_BOUND.replace("evolve.dt = 0.005", "evolve.dt = 1e-300")
+         .replace("evolve.t_final = 3.0", "evolve.t_final = 1e300"), _STEPS),
+        ("evolve", EDGE_BOUND.replace("evolve.dt = 0.005", "evolve.dt = 5e-324")
+         .replace("evolve.t_final = 3.0", "evolve.t_final = 1.0"), _STEPS),
     ],
     ids=["nan_tail", "zero_tail", "nan_dt", "bare_nan_dt", "inf_float", "inf_int",
-         "inf_in_list", "string_in_list", "int_past_float_in_list", "negative_nu0"],
+         "inf_in_list", "string_in_list", "int_past_float_in_list", "negative_nu0",
+         "step_count_overflows", "denormal_dt"],
 )
 def test_cli_non_finite_or_negative_value_is_config_error(
     tmp_path, capsys, command, text, message
@@ -688,6 +709,20 @@ def test_cli_edge_bound_run_aborts_on_the_tail(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "runtime error:" in err
     assert "boundary tail fraction 2.150e-05 exceeded threshold 1.000e-05 at step 11" in err
+
+
+def test_cli_noise_past_the_float_range_is_one_runtime_error(tmp_path, capsys):
+    # nu times a normal deviate overflows in every realization alike, so the
+    # error names nu, the input to change, and no overflow warning precedes it
+    text = CAT.replace("noise.nu0 = 1.0", "noise.nu0 = 1e308")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["decohere", "--scenario", write(tmp_path, text),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "runtime error: noise field is not finite (nu up to 1.000e+308)\n"
+    assert caught == []
 
 
 def test_cli_seed_rejected_where_unused(tmp_path):
